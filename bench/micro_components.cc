@@ -1,11 +1,13 @@
 // Component microbenchmarks (google-benchmark): storage primitives, the
 // lock manager, dirty-key tracker variants (the paper's §2.3 ablation:
-// bit vector vs hash table vs Bloom filter), value pool vs malloc, and
-// checkpoint file writing.
+// bit vector vs hash table vs Bloom filter), value pool vs malloc,
+// checkpoint file writing, and command-log generation decoding.
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 
 #include "bench/bench_common.h"
@@ -13,6 +15,7 @@
 #include "checkpoint/dirty_tracker.h"
 #include "checkpoint/phase.h"
 #include "log/commit_log.h"
+#include "log/log_reader.h"
 #include "storage/kv_store.h"
 #include "storage/value.h"
 #include "txn/lock_manager.h"
@@ -311,6 +314,55 @@ BENCHMARK(BM_WriterSyncVsAsync)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+// ---------------------------------------------------------------------------
+// Command-log decode: recovery's validate-only generation scan versus
+// materializing the whole generation with CommitLog::LoadFrom.
+// ---------------------------------------------------------------------------
+
+/// Persists a micro_ckpt-shaped generation — `commits` commits with a
+/// 10-key RMW payload (84 B args) and a phase token every 10000 — and
+/// returns its path.
+std::string WriteLogGeneration(const std::string& dir, uint64_t commits) {
+  CommitLog log;
+  std::string args(84, 'a');
+  for (uint64_t i = 0; i < commits; ++i) {
+    std::memcpy(args.data(), &i, sizeof(i));
+    log.AppendCommit(i + 1, 1, args);
+    if (i % 10000 == 0) log.AppendPhaseTransition(Phase::kResolve, i + 1);
+  }
+  std::string path = dir + "/log_generation";
+  if (!log.PersistTo(path).ok()) return "";
+  return path;
+}
+
+/// Decodes `path` once: Arg 0 = ScanLogFile (validate, keep counts and
+/// the token index), Arg 1 = CommitLog::LoadFrom (keep every entry).
+bool DecodeLogOnce(const std::string& path, bool load_from) {
+  if (load_from) {
+    CommitLog log;
+    return log.LoadFrom(path, size_t{1} << 20).ok();
+  }
+  LogScan scan;
+  return ScanLogFile(path, size_t{1} << 20, &scan).ok();
+}
+
+void BM_LogScan(benchmark::State& state) {
+  const bool load_from = state.range(0) != 0;
+  std::string dir = bench::MakeScratchDir("log_scan");
+  std::string path = WriteLogGeneration(dir, 100000);
+  for (auto _ : state) {
+    if (!DecodeLogOnce(path, load_from)) {
+      state.SkipWithError("decode failed");
+      break;
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(std::filesystem::file_size(path)));
+  state.SetLabel(load_from ? "log_load_from" : "log_scan");
+  bench::RemoveDir(dir);
+}
+BENCHMARK(BM_LogScan)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -373,6 +425,19 @@ double MeasureWriterMbps(bool async_io, const std::string& dir) {
   return payload_mb / best_s;
 }
 
+double MeasureLogDecodeMbps(const std::string& path, bool load_from) {
+  const double mb = static_cast<double>(std::filesystem::file_size(path)) / 1e6;
+  if (!DecodeLogOnce(path, load_from)) return 0;  // warm the page cache
+  double best_s = 1e30;
+  for (int pass = 0; pass < 3; ++pass) {
+    Stopwatch sw;
+    if (!DecodeLogOnce(path, load_from)) return 0;
+    double s = sw.ElapsedSeconds();
+    if (s < best_s) best_s = s;
+  }
+  return mb / best_s;
+}
+
 void EmitIoFastpathJson(const bench::Flags& flags) {
   std::string json_path =
       flags.Str("json_out", "BENCH_io_fastpath.json");
@@ -387,6 +452,9 @@ void EmitIoFastpathJson(const bench::Flags& flags) {
   std::string dir = bench::MakeScratchDir("io_fastpath");
   double sync_mbps = MeasureWriterMbps(/*async_io=*/false, dir);
   double async_mbps = MeasureWriterMbps(/*async_io=*/true, dir);
+  std::string log_path = WriteLogGeneration(dir, 300000);  // ~35 MB
+  double scan_mbps = MeasureLogDecodeMbps(log_path, /*load_from=*/false);
+  double load_mbps = MeasureLogDecodeMbps(log_path, /*load_from=*/true);
   bench::RemoveDir(dir);
 
   std::FILE* jf = std::fopen(json_path.c_str(), "w");
@@ -417,14 +485,23 @@ void EmitIoFastpathJson(const bench::Flags& flags) {
                "    {\"row\": \"writer_async\", \"mb_per_s\": %.1f, "
                "\"speedup_vs_sync\": %.2f}\n",
                async_mbps, sync_mbps > 0 ? async_mbps / sync_mbps : 0);
+  std::fprintf(jf, "  ],\n  \"log\": [\n");
+  std::fprintf(jf,
+               "    {\"row\": \"log_load_from\", \"mb_per_s\": %.1f},\n",
+               load_mbps);
+  std::fprintf(jf,
+               "    {\"row\": \"log_scan\", \"mb_per_s\": %.1f, "
+               "\"speedup_vs_load_from\": %.2f}\n",
+               scan_mbps, load_mbps > 0 ? scan_mbps / load_mbps : 0);
   std::fprintf(jf, "  ]\n}\n");
   std::fclose(jf);
   std::printf("io fastpath json: %s (crc slice8 %.1fx, hw %.1fx; "
-              "writer async %.2fx)\n",
+              "writer async %.2fx; log scan %.0f MB/s, %.2fx LoadFrom)\n",
               json_path.c_str(),
               base_mbps > 0 ? slice8_mbps / base_mbps : 0,
               base_mbps > 0 ? hw_mbps / base_mbps : 0,
-              sync_mbps > 0 ? async_mbps / sync_mbps : 0);
+              sync_mbps > 0 ? async_mbps / sync_mbps : 0, scan_mbps,
+              load_mbps > 0 ? scan_mbps / load_mbps : 0);
 }
 
 }  // namespace calcdb

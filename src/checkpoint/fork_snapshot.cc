@@ -179,6 +179,14 @@ Status ForkSnapshotCheckpointer::RunCheckpointCycle() {
           slots_at_poc_[s] = engine_.store->shard(s)->NumSlots();
         }
         child = ::fork();
+        if (child == 0) {
+          // Child: write the frozen image and exit without running any
+          // destructors or atexit handlers — and without returning into
+          // QuiesceAndRun, whose epilogue reopens the admission gate: a
+          // parent thread may have held the gate's mutex at the instant
+          // of fork, leaving the child's copy locked forever.
+          ::_exit(ChildWriteSnapshot(fd, id, poc_lsn));
+        }
         if (child < 0) {
           return Status::IOError(std::string("fork: ") +
                                  std::strerror(errno));
@@ -186,11 +194,6 @@ Status ForkSnapshotCheckpointer::RunCheckpointCycle() {
         return Status::OK();
       },
       &st);
-  if (child == 0) {
-    // Child: write the frozen image and exit without running any
-    // destructors or atexit handlers.
-    ::_exit(ChildWriteSnapshot(fd, id, poc_lsn));
-  }
   ::close(fd);  // parent's copy of the descriptor
   CALCDB_RETURN_NOT_OK(st);
 

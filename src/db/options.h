@@ -120,9 +120,10 @@ struct Options {
   /// CALCDB_REPLAY_THREADS environment variable if set, else 1.
   int replay_threads = 0;
 
-  /// Read-ahead buffer for command-log generation decode during
-  /// recovery (same SequentialFileReader mechanism as
-  /// ckpt_read_ahead_bytes). 0 keeps the libc default buffer.
+  /// Scan block size for command-log generation decode during recovery:
+  /// the frame decoder (log/log_reader.h) reads each generation through
+  /// one reused buffer of this many bytes. 0 selects the decoder's
+  /// default (64 KiB).
   size_t log_read_ahead_bytes = 1 << 20;
 
   /// Pre-allocate/recycle stable-record memory from a pool (paper §5.1.6).

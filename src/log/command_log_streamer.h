@@ -19,9 +19,10 @@ namespace calcdb {
 /// "command logging" — logging transactional *input* in commit order. The
 /// streamer tails the in-memory CommitLog from a background thread,
 /// appending newly committed entries to a file in batches and fsyncing
-/// after every batch (group durability). After a crash, LoadFrom on the
-/// streamed file yields every entry whose append hit the device; a torn
-/// final entry is discarded by the loader.
+/// after every batch (group durability). After a crash, the frame decoder
+/// (log/log_reader.h: recovery's generation scan, CommitLog::LoadFrom)
+/// yields every entry whose append hit the device; a torn final entry is
+/// discarded.
 ///
 /// Log generations. Each process lifetime streams into its own
 /// generation-numbered file, `<path>.NNNNNN`: Start scans for existing

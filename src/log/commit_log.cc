@@ -1,7 +1,6 @@
 #include "log/commit_log.h"
 
-#include <cstring>
-
+#include "log/log_reader.h"
 #include "obs/obs.h"
 #include "util/crc32.h"
 #include "util/throttled_file.h"
@@ -48,6 +47,8 @@ uint64_t CommitLog::AppendPhaseTransition(
   if (phase == Phase::kResolve) ++vpoc_count_;
   if (under_latch) under_latch();
   if (pc != nullptr) pc->SetPhase(phase);
+  phase_marks_.push_back(
+      PhaseTokenMark{checkpoint_id, phase, entries_.size()});
   entries_.push_back(std::move(e));
   return entries_.size() - 1;
 }
@@ -64,11 +65,8 @@ uint64_t CommitLog::Size() const {
 
 uint64_t CommitLog::CommitCount() const {
   SpinLatchGuard guard(latch_);
-  uint64_t n = 0;
-  for (const LogEntry& e : entries_) {
-    if (e.type == LogEntry::Type::kCommit) ++n;
-  }
-  return n;
+  // Every entry that is not a phase token is a commit.
+  return entries_.size() - phase_marks_.size();
 }
 
 LogEntry CommitLog::Entry(uint64_t lsn) const {
@@ -91,18 +89,24 @@ std::vector<LogEntry> CommitLog::CommitsFrom(uint64_t from_lsn) const {
   return out;
 }
 
+const PhaseTokenMark* FindPhaseMark(const std::vector<PhaseTokenMark>& marks,
+                                    uint64_t checkpoint_id, Phase phase) {
+  for (const PhaseTokenMark& mark : marks) {
+    if (mark.checkpoint_id == checkpoint_id && mark.phase == phase) {
+      return &mark;
+    }
+  }
+  return nullptr;
+}
+
 bool CommitLog::FindPhaseToken(uint64_t checkpoint_id, Phase phase,
                                uint64_t* lsn) const {
   SpinLatchGuard guard(latch_);
-  for (uint64_t i = 0; i < entries_.size(); ++i) {
-    const LogEntry& e = entries_[i];
-    if (e.type == LogEntry::Type::kPhaseTransition &&
-        e.checkpoint_id == checkpoint_id && e.phase == phase) {
-      *lsn = i;
-      return true;
-    }
-  }
-  return false;
+  const PhaseTokenMark* mark =
+      FindPhaseMark(phase_marks_, checkpoint_id, phase);
+  if (mark == nullptr) return false;
+  *lsn = mark->lsn;
+  return true;
 }
 
 namespace {
@@ -147,56 +151,27 @@ Status CommitLog::PersistTo(const std::string& path) const {
   return writer.Close();
 }
 
-Status CommitLog::LoadFrom(const std::string& path,
-                           size_t read_ahead_bytes) {
-  SequentialFileReader reader;
-  CALCDB_RETURN_NOT_OK(reader.Open(path, read_ahead_bytes));
+Status CommitLog::LoadFrom(const std::string& path, size_t block_bytes) {
+  LogFrameReader reader;
+  CALCDB_RETURN_NOT_OK(reader.Open(path, block_bytes));
   std::deque<LogEntry> loaded;
-  while (!reader.AtEof()) {
-    // A torn final entry (crash mid-append while streaming) manifests as
-    // a short read: accept the complete prefix — exactly the set of
-    // transactions whose commit made it to stable storage.
-    uint32_t len = 0, crc = 0;
-    size_t got = 0;
-    CALCDB_RETURN_NOT_OK(reader.Read(&len, sizeof(len), &got));
-    if (got < sizeof(len)) break;
-    CALCDB_RETURN_NOT_OK(reader.Read(&crc, sizeof(crc), &got));
-    if (got < sizeof(crc)) break;
-    if (len == 0 || len > (1u << 30)) {
-      return Status::Corruption("commit log entry length");
+  std::vector<PhaseTokenMark> marks;
+  LogFrame frame;
+  for (bool done = false;;) {
+    // A torn final entry (crash mid-append while streaming) ends the
+    // decode: the complete prefix is exactly the set of transactions
+    // whose commit made it to stable storage.
+    CALCDB_RETURN_NOT_OK(reader.Next(&frame, &done));
+    if (done) break;
+    if (frame.type == LogEntry::Type::kPhaseTransition) {
+      marks.push_back(PhaseTokenMark{frame.checkpoint_id, frame.phase,
+                                     loaded.size(), frame.end_offset});
     }
-    std::string buf(len, '\0');
-    CALCDB_RETURN_NOT_OK(reader.Read(buf.data(), len, &got));
-    if (got < len) break;
-    if (Crc32(buf.data(), buf.size()) != crc) {
-      return Status::Corruption("commit log entry crc mismatch");
-    }
-    LogEntry e;
-    e.type = static_cast<LogEntry::Type>(buf[0]);
-    const char* p = buf.data() + 1;
-    if (e.type == LogEntry::Type::kCommit) {
-      std::memcpy(&e.txn_id, p, 8);
-      p += 8;
-      std::memcpy(&e.proc_id, p, 4);
-      p += 4;
-      uint32_t args_len;
-      std::memcpy(&args_len, p, 4);
-      p += 4;
-      if (1 + 8 + 4 + 4 + args_len != len) {
-        return Status::Corruption("commit entry size mismatch");
-      }
-      e.args.assign(p, args_len);
-    } else if (e.type == LogEntry::Type::kPhaseTransition) {
-      e.phase = static_cast<Phase>(*p);
-      p += 1;
-      std::memcpy(&e.checkpoint_id, p, 8);
-    } else {
-      return Status::Corruption("unknown commit log entry type");
-    }
-    loaded.push_back(std::move(e));
+    loaded.push_back(frame.ToEntry());
   }
   SpinLatchGuard guard(latch_);
   entries_ = std::move(loaded);
+  phase_marks_ = std::move(marks);
   return Status::OK();
 }
 

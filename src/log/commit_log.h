@@ -36,6 +36,25 @@ struct LogEntry {
   uint64_t checkpoint_id = 0;   ///< phase entries: checkpoint cycle id
 };
 
+/// Side-index entry for one phase-transition token: where it sits in the
+/// log. The live CommitLog keeps one per appended token; the
+/// persisted-log scan (log/log_reader.h) builds the same index for a
+/// generation file without retaining its entries.
+struct PhaseTokenMark {
+  uint64_t checkpoint_id = 0;
+  Phase phase = Phase::kRest;
+  uint64_t lsn = 0;
+  uint64_t next_offset = 0;  ///< decoded from a file: byte offset of the
+                             ///< frame after the token (0 for tokens
+                             ///< appended in memory)
+};
+
+/// The first mark (in LSN order) entering `phase` for checkpoint
+/// `checkpoint_id`, or nullptr. The one lookup rule shared by
+/// CommitLog::FindPhaseToken and recovery's anchor search.
+const PhaseTokenMark* FindPhaseMark(const std::vector<PhaseTokenMark>& marks,
+                                    uint64_t checkpoint_id, Phase phase);
+
 /// The "simple log containing the order in which transactions commit"
 /// (paper §2.2) plus command-log payloads for deterministic replay.
 ///
@@ -99,8 +118,8 @@ class CommitLog {
   uint64_t Size() const;
 
   /// Number of commit entries (excludes phase-transition tokens) — the
-  /// size of the full replay set. Recovery uses it for per-generation
-  /// replayed/skipped accounting.
+  /// size of the full replay set. O(1): entries minus the phase-token
+  /// side index.
   uint64_t CommitCount() const;
 
   /// Copy of entry at `lsn` (test/recovery use; not on the hot path).
@@ -116,7 +135,9 @@ class CommitLog {
   std::vector<LogEntry> CommitsFrom(uint64_t from_lsn) const;
 
   /// Finds the LSN of the phase-transition token entering `phase` for
-  /// checkpoint `checkpoint_id`; returns false if absent.
+  /// checkpoint `checkpoint_id`; returns false if absent. O(#tokens):
+  /// searches the phase-token side index, not the entries, so the append
+  /// latch is held only briefly even on a long live log.
   bool FindPhaseToken(uint64_t checkpoint_id, Phase phase,
                       uint64_t* lsn) const;
 
@@ -130,18 +151,18 @@ class CommitLog {
   [[nodiscard]] Status PersistTo(const std::string& path) const;
 
   /// Loads entries from a file previously written by PersistTo (or
-  /// streamed by CommandLogStreamer), replacing current contents. A
-  /// nonzero `read_ahead_bytes` sizes the decoder's read-ahead buffer
-  /// (SequentialFileReader) so generation decode during recovery issues
-  /// one read(2) per buffer instead of one per BUFSIZ; 0 keeps the libc
-  /// default.
+  /// streamed by CommandLogStreamer), replacing current contents. Decodes
+  /// with the shared frame decoder (log/log_reader.h), so it accepts and
+  /// rejects exactly what recovery's generation scan does. `block_bytes`
+  /// sizes the decoder's read block (0: LogFrameReader's default).
   [[nodiscard]] Status LoadFrom(const std::string& path,
-                                size_t read_ahead_bytes = 0);
+                                size_t block_bytes = 0);
 
  private:
   mutable SpinLatch latch_;
   std::deque<LogEntry> entries_ CALCDB_GUARDED_BY(latch_);
   uint64_t vpoc_count_ CALCDB_GUARDED_BY(latch_) = 0;
+  std::vector<PhaseTokenMark> phase_marks_ CALCDB_GUARDED_BY(latch_);
 };
 
 }  // namespace calcdb

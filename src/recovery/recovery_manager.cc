@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "log/log_reader.h"
 #include "obs/obs.h"
 #include "recovery/replay_scheduler.h"
 #include "util/clock.h"
@@ -186,18 +186,20 @@ Status RecoveryManager::ReplayLog(const CommitLog& log,
 Status RecoveryManager::ReplayLogGenerations(
     const std::vector<std::string>& files,
     const ProcedureRegistry& registry, ShardedStore* store,
-    RecoveryStats* stats, int replay_threads,
-    size_t log_read_ahead_bytes) {
+    RecoveryStats* stats, int replay_threads, size_t log_block_bytes) {
   Stopwatch sw;
-  // Load every generation up front: a generation that fails to load at
-  // all is damage worth surfacing before any replay mutates the store
-  // (LoadFrom already tolerates a torn final entry).
-  std::vector<std::unique_ptr<CommitLog>> logs;
-  logs.reserve(files.size());
-  for (const std::string& file : files) {
-    auto log = std::make_unique<CommitLog>();
-    CALCDB_RETURN_NOT_OK(log->LoadFrom(file, log_read_ahead_bytes));
-    logs.push_back(std::move(log));
+  // Scan: validate every frame of every generation before any replay
+  // mutates the store — damage anywhere, even in a region the anchor
+  // rule will retire, fails recovery (a torn final frame is accepted).
+  // Only commit counts and the phase-token side index survive the scan.
+  std::vector<LogScan> scans(files.size());
+  for (size_t i = 0; i < files.size(); ++i) {
+    Stopwatch scan_sw;
+    CALCDB_TRACE_SPAN(scan_span, "log_scan", "recovery", i);
+    CALCDB_RETURN_NOT_OK(ScanLogFile(files[i], log_block_bytes, &scans[i]));
+    stats->log_scan_micros += scan_sw.ElapsedMicros();
+    stats->log_bytes_scanned += scans[i].bytes_read;
+    CALCDB_COUNTER_ADD("calcdb.recovery.log_scan_bytes", scans[i].bytes_read);
   }
 
   // Find the anchor generation: the newest one holding the last applied
@@ -206,13 +208,14 @@ Status RecoveryManager::ReplayLogGenerations(
   // (the id was never persisted) — the replayed chain's token is the one
   // from the latest lifetime that produced a surviving checkpoint.
   size_t anchor = files.size();  // "none"
+  const PhaseTokenMark* anchor_mark = nullptr;
   if (stats->checkpoints_loaded != 0) {
-    for (size_t i = logs.size(); i-- > 0;) {
-      uint64_t lsn = 0;
-      if (logs[i]->FindPhaseToken(stats->last_checkpoint_id,
-                                  Phase::kResolve, &lsn) &&
-          lsn == stats->replay_from_lsn) {
+    for (size_t i = scans.size(); i-- > 0;) {
+      const PhaseTokenMark* mark = FindPhaseMark(
+          scans[i].tokens, stats->last_checkpoint_id, Phase::kResolve);
+      if (mark != nullptr && mark->lsn == stats->replay_from_lsn) {
         anchor = i;
+        anchor_mark = mark;
         break;
       }
     }
@@ -232,10 +235,10 @@ Status RecoveryManager::ReplayLogGenerations(
                    {"checkpoint_id",
                     static_cast<int64_t>(stats->last_checkpoint_id)},
                    {"generations", static_cast<int64_t>(files.size())});
-      for (size_t i = 0; i < logs.size(); ++i) {
+      for (size_t i = 0; i < scans.size(); ++i) {
         RecoveryStats::GenerationReplay gen;
         gen.file = files[i];
-        gen.commits_total = logs[i]->CommitCount();
+        gen.commits_total = scans[i].commits;
         gen.skipped = gen.commits_total;
         stats->generations.push_back(std::move(gen));
       }
@@ -244,31 +247,44 @@ Status RecoveryManager::ReplayLogGenerations(
     }
   }
 
+  // Generations before the anchor are fully covered by the checkpoint
+  // chain; with no checkpoint loaded, every generation replays.
+  auto retired = [&](size_t i) {
+    return stats->checkpoints_loaded != 0 && i < anchor;
+  };
+
+  // Collect: decode only the replay set — the anchor's commits after its
+  // token (seeking straight to the token's byte offset) and every later
+  // generation in full.
+  std::vector<std::vector<LogEntry>> tails(files.size());
+  for (size_t i = 0; i < files.size(); ++i) {
+    if (retired(i)) continue;
+    uint64_t offset = i == anchor ? anchor_mark->next_offset : 0;
+    Stopwatch collect_sw;
+    CALCDB_TRACE_SPAN(collect_span, "log_collect", "recovery", i);
+    uint64_t bytes = 0;
+    CALCDB_RETURN_NOT_OK(
+        CollectCommits(files[i], log_block_bytes, offset, &tails[i], &bytes));
+    stats->log_scan_micros += collect_sw.ElapsedMicros();
+    stats->log_bytes_scanned += bytes;
+    CALCDB_COUNTER_ADD("calcdb.recovery.log_scan_bytes", bytes);
+  }
+
   ReplayScheduler replayer(registry, store, replay_threads);
-  for (size_t i = 0; i < logs.size(); ++i) {
+  for (size_t i = 0; i < files.size(); ++i) {
     RecoveryStats::GenerationReplay gen;
     gen.file = files[i];
-    gen.commits_total = logs[i]->CommitCount();
-    std::vector<LogEntry> commits;
-    bool skip = false;
-    if (stats->checkpoints_loaded == 0) {
-      commits = logs[i]->CommitsFrom(0);  // no checkpoint: replay all
-    } else if (i < anchor) {
-      skip = true;  // fully covered by the checkpoint chain
-    } else if (i == anchor) {
-      commits = logs[i]->CommitsAfter(stats->replay_from_lsn);
-    } else {
-      commits = logs[i]->CommitsFrom(0);  // later lifetime: replay all
-    }
-    gen.replayed = commits.size();
+    gen.commits_total = scans[i].commits;
+    gen.replayed = tails[i].size();
     gen.skipped = gen.commits_total - gen.replayed;
     CALCDB_EVENT("recovery.generation_replayed", "recovery", files[i],
                  {"generation", static_cast<int64_t>(i)},
                  {"replayed", static_cast<int64_t>(gen.replayed)},
                  {"skipped", static_cast<int64_t>(gen.skipped)});
     stats->generations.push_back(std::move(gen));
-    if (skip) continue;
-    CALCDB_RETURN_NOT_OK(replayer.Replay(commits, stats));
+    if (retired(i)) continue;
+    CALCDB_RETURN_NOT_OK(replayer.Replay(tails[i], stats));
+    std::vector<LogEntry>().swap(tails[i]);  // free as we go
     ++stats->log_generations_replayed;
   }
   stats->replay_micros = sw.ElapsedMicros();

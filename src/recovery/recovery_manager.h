@@ -32,7 +32,13 @@ struct RecoveryStats {
   uint64_t entries_applied = 0;
   uint64_t txns_replayed = 0;
   int64_t load_micros = 0;    ///< checkpoint chain load + merge time
-  int64_t replay_micros = 0;  ///< deterministic command replay time
+  int64_t replay_micros = 0;  ///< command-log scan + collect + replay
+  /// Share of replay_micros spent decoding command-log generations (the
+  /// validation scan of every generation plus the replay-tail collect).
+  int64_t log_scan_micros = 0;
+  /// Bytes the generation decoder read: every generation once (scan)
+  /// plus the replay tail once more (collect).
+  uint64_t log_bytes_scanned = 0;
   uint64_t replay_from_lsn = 0;
   uint64_t last_checkpoint_id = 0;  ///< id of the last applied checkpoint
   uint64_t log_generations_replayed = 0;
@@ -96,7 +102,15 @@ class RecoveryManager {
 
   /// Replays a sequence of streamed command-log generation files (oldest
   /// first, as CommandLogStreamer::ListLogFiles returns them) on top of a
-  /// loaded checkpoint chain. LSNs restart at 0 in every generation, so
+  /// loaded checkpoint chain, in three steps: *scan* validates every frame
+  /// of every generation and keeps only its commit count and phase-token
+  /// side index; the anchor is chosen from those indexes; *collect*
+  /// decodes only the replay set (the anchor's tail from the token's byte
+  /// offset, later generations in full), which is then *replayed*.
+  /// Damage anywhere, including the retired pre-anchor region, fails with
+  /// Corruption before the store is touched.
+  ///
+  /// LSNs restart at 0 in every generation, so
   /// `stats->replay_from_lsn` only applies within the *anchor*
   /// generation: the newest one containing the RESOLVE phase token of the
   /// last applied checkpoint (id `stats->last_checkpoint_id`) at exactly
@@ -112,15 +126,15 @@ class RecoveryManager {
   ///
   /// `replay_threads` as in ReplayLog; the scheduler drains completely
   /// at every generation boundary, so the anchor rule composes with
-  /// parallel replay unchanged. `log_read_ahead_bytes` sizes the
-  /// generation decoder's read-ahead buffer (0: libc default). Fills
+  /// parallel replay unchanged. `log_block_bytes` sizes the generation
+  /// decoder's read block (0: LogFrameReader's default). Fills
   /// stats->generations with the per-generation replayed/skipped
   /// breakdown.
   [[nodiscard]] static Status ReplayLogGenerations(
       const std::vector<std::string>& files,
       const ProcedureRegistry& registry, ShardedStore* store,
       RecoveryStats* stats, int replay_threads = 1,
-      size_t log_read_ahead_bytes = 0);
+      size_t log_block_bytes = 0);
 
   /// LoadCheckpoints + ReplayLog.
   [[nodiscard]] static Status Recover(CheckpointStorage* storage,

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "obs/obs.h"
@@ -362,6 +363,48 @@ Status SequentialFileReader::Close() {
   file_ = nullptr;
   std::free(read_ahead_buf_);
   read_ahead_buf_ = nullptr;
+  return Status::OK();
+}
+
+BlockFileReader::~BlockFileReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status BlockFileReader::Open(const std::string& path) {
+  if (fd_ >= 0) return Status::InvalidArgument("already open");
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) {
+    return Status::IOError("open " + path + ": " + std::strerror(errno));
+  }
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    Status err = Status::IOError("fstat " + path + ": " +
+                                 std::strerror(errno));
+    ::close(fd_);
+    fd_ = -1;
+    return err;
+  }
+  size_ = static_cast<uint64_t>(st.st_size);
+  return Status::OK();
+}
+
+Status BlockFileReader::ReadAt(uint64_t offset, void* out, size_t n,
+                               size_t* read_n) {
+  if (fd_ < 0) return Status::InvalidArgument("not open");
+  char* p = static_cast<char*>(out);
+  size_t got = 0;
+  while (got < n) {
+    ssize_t r = ::pread(fd_, p + got, n - got,
+                        static_cast<off_t>(offset + got));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      *read_n = got;
+      return Status::IOError(std::strerror(errno));
+    }
+    if (r == 0) break;  // end of file
+    got += static_cast<size_t>(r);
+  }
+  *read_n = got;
   return Status::OK();
 }
 

@@ -200,6 +200,34 @@ class SequentialFileReader {
   char* read_ahead_buf_ = nullptr;  // owned; freed after fclose
 };
 
+/// Positional reader for block-at-a-time decoders (the command-log frame
+/// decoder, log/log_reader.h): reads at explicit offsets with pread(2),
+/// so the caller owns the only buffer and can start anywhere in the file.
+/// Reads are never throttled.
+class BlockFileReader {
+ public:
+  BlockFileReader() = default;
+  ~BlockFileReader();
+
+  BlockFileReader(const BlockFileReader&) = delete;
+  BlockFileReader& operator=(const BlockFileReader&) = delete;
+
+  /// Opens `path` read-only and records its size.
+  [[nodiscard]] Status Open(const std::string& path);
+
+  /// Reads up to `n` bytes at `offset`; `*read_n < n` only at end of
+  /// file.
+  [[nodiscard]] Status ReadAt(uint64_t offset, void* out, size_t n,
+                              size_t* read_n);
+
+  /// File size when Open() ran.
+  uint64_t size() const { return size_; }
+
+ private:
+  int fd_ = -1;
+  uint64_t size_ = 0;
+};
+
 }  // namespace calcdb
 
 #endif  // CALCDB_UTIL_THROTTLED_FILE_H_

@@ -277,8 +277,16 @@ TEST(CalcWhiteboxTest, InsertAfterVpocExcludedDeleteCaptured) {
   while (db->phases()->current() != Phase::kPrepare) SleepMicros(500);
   release = true;
   holder.join();
-  // Wait until the capture phase: transactions now start post-VPoC.
-  while (db->phases()->current() != Phase::kCapture) SleepMicros(500);
+  // Wait until the cycle has entered capture: transactions now start
+  // post-VPoC. Poll the log for the CAPTURE token rather than the phase
+  // itself — a 10-record capture can pass through CAPTURE between two
+  // polls, while the token stays in the log. The cycle is the first on a
+  // fresh checkpoint directory, so its id is 1.
+  uint64_t capture_lsn = 0;
+  while (!db->commit_log()->FindPhaseToken(1, Phase::kCapture,
+                                           &capture_lsn)) {
+    SleepMicros(500);
+  }
 
   // Post-VPoC: insert a brand-new key and delete an existing one. If the
   // capture scan is still running these must not corrupt the checkpoint.

@@ -5,11 +5,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "log/command_log_streamer.h"
+#include "log/log_reader.h"
 #include "obs/event_log.h"
 #include "obs/obs.h"
 #include "tests/test_util.h"
@@ -37,6 +40,73 @@ MicrobenchConfig SmallConfig() {
   config.value_size = 64;
   config.ops_per_txn = 4;
   return config;
+}
+
+/// Store contents read directly (no Start(): Start() would attach a new
+/// command-log generation and change what the next recovery sees).
+StateMap StoreMap(const ShardedStore& store) {
+  StateMap out;
+  store.ForEachRecord([&](Record* rec) {
+    if (rec == nullptr || rec->key == ~uint64_t{0}) return;
+    std::string value;
+    if (store.Get(rec->key, &value).ok()) out[rec->key] = std::move(value);
+  });
+  return out;
+}
+
+/// One streamed lifetime: `before` transactions, a CALC checkpoint,
+/// `after` more, clean shutdown. Returns the command-log generations.
+std::vector<std::string> RunStreamedLifetime(const Options& options,
+                                             const MicrobenchConfig& config,
+                                             int before, int after) {
+  std::unique_ptr<Database> db;
+  EXPECT_TRUE(Database::Open(options, &db).ok());
+  EXPECT_TRUE(SetupMicrobench(db.get(), config).ok());
+  EXPECT_TRUE(db->Start().ok());
+  MicrobenchWorkload workload(config);
+  Rng rng(31);
+  for (int i = 0; i < before + after; ++i) {
+    if (i == before) {
+      EXPECT_TRUE(db->Checkpoint().ok());
+    }
+    TxnRequest req = workload.Next(rng);
+    EXPECT_TRUE(
+        db->executor()->Execute(req.proc_id, std::move(req.args), 0).ok());
+  }
+  EXPECT_TRUE(db->Shutdown().ok());
+  std::vector<std::string> files;
+  EXPECT_TRUE(
+      CommandLogStreamer::ListLogFiles(options.command_log_path, &files)
+          .ok());
+  return files;
+}
+
+/// RecoverFromCommandLog into a fresh database; fills `*state` on success.
+Status RecoverFromLog(const Options& options, const MicrobenchConfig& config,
+                      RecoveryStats* stats, StateMap* state) {
+  std::unique_ptr<Database> db;
+  CALCDB_RETURN_NOT_OK(Database::Open(options, &db));
+  MicrobenchConfig reg_only = config;
+  reg_only.num_records = 0;  // register procedures, load nothing
+  CALCDB_RETURN_NOT_OK(SetupMicrobench(db.get(), reg_only));
+  CALCDB_RETURN_NOT_OK(db->RecoverFromCommandLog(stats));
+  *state = StoreMap(*db->store());
+  return Status::OK();
+}
+
+/// Byte offset of the last frame of a generation file.
+uint64_t LastFrameOffset(const std::string& path) {
+  LogFrameReader reader;
+  EXPECT_TRUE(reader.Open(path, /*block_bytes=*/0).ok());
+  uint64_t start = 0, last = 0;
+  LogFrame frame;
+  for (bool done = false;;) {
+    EXPECT_TRUE(reader.Next(&frame, &done).ok());
+    if (done) break;
+    last = start;
+    start = frame.end_offset;
+  }
+  return last;
 }
 
 // A crash during capture leaves a checkpoint file without a footer and —
@@ -285,6 +355,78 @@ TEST(RecoveryRobustnessTest, CrashBeforeCollapseCommitKeepsInputs) {
   ASSERT_TRUE(testing_util::ChainToMap(chain_before, &loaded).ok());
   EXPECT_EQ(loaded, expected);
   (void)pre;
+}
+
+// Recovery validates every generation before it replays anything, so a
+// damaged frame in the region the anchor rule retires (commits the
+// checkpoint already covers) still fails loudly — and the store sees no
+// replay at all.
+TEST(RecoveryRobustnessTest, CorruptFrameInSkippedRegionFailsRecovery) {
+  TempDir dir;
+  Options options = MakeOptions(dir.path() + "/ckpt");
+  options.command_log_path = dir.path() + "/cmdlog";
+  MicrobenchConfig config = SmallConfig();
+  std::vector<std::string> files =
+      RunStreamedLifetime(options, config, /*before=*/40, /*after=*/30);
+  ASSERT_EQ(files.size(), 1u);
+
+  // Undamaged, the first 40 commits are retired (skipped), 30 replay.
+  RecoveryStats clean;
+  StateMap state;
+  ASSERT_TRUE(RecoverFromLog(options, config, &clean, &state).ok());
+  ASSERT_EQ(clean.generations.size(), 1u);
+  EXPECT_EQ(clean.generations[0].skipped, 40u);
+  EXPECT_EQ(clean.generations[0].replayed, 30u);
+
+  // Flip one payload byte of the very first frame: a pre-anchor commit.
+  {
+    std::FILE* f = std::fopen(files[0].c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 8 + 3, SEEK_SET), 0);
+    int c = std::fgetc(f);
+    ASSERT_NE(c, EOF);
+    ASSERT_EQ(std::fseek(f, 8 + 3, SEEK_SET), 0);
+    std::fputc(c ^ 0x5a, f);
+    std::fclose(f);
+  }
+  RecoveryStats damaged;
+  Status st = RecoverFromLog(options, config, &damaged, &state);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(damaged.checkpoints_loaded, 1u);
+  EXPECT_EQ(damaged.txns_replayed, 0u);
+  EXPECT_TRUE(damaged.generations.empty());
+}
+
+// A torn final frame in the anchor generation (crash mid-append) ends
+// the log: recovery replays the complete prefix after the anchor, exactly
+// as if the torn frame had never been written.
+TEST(RecoveryRobustnessTest, TornTailInAnchorGenerationReplaysPrefix) {
+  TempDir dir;
+  Options options = MakeOptions(dir.path() + "/ckpt");
+  options.command_log_path = dir.path() + "/cmdlog";
+  MicrobenchConfig config = SmallConfig();
+  std::vector<std::string> files =
+      RunStreamedLifetime(options, config, /*before=*/25, /*after=*/20);
+  ASSERT_EQ(files.size(), 1u);
+  uint64_t last = LastFrameOffset(files[0]);
+  ASSERT_GT(testing_util::FileSize(files[0]), last + 8 + 8);
+
+  // Torn inside the header, then inside the payload, then cut cleanly at
+  // the frame boundary: all three recover the same state and stats.
+  const uint64_t cuts[] = {last + 5, last + 8 + 8, last};
+  std::vector<StateMap> states(3);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(::truncate(files[0].c_str(), static_cast<off_t>(cuts[i])), 0);
+    RecoveryStats stats;
+    ASSERT_TRUE(RecoverFromLog(options, config, &stats, &states[i]).ok())
+        << "cut " << i;
+    ASSERT_EQ(stats.generations.size(), 1u);
+    EXPECT_EQ(stats.generations[0].skipped, 25u) << "cut " << i;
+    EXPECT_EQ(stats.generations[0].replayed, 19u) << "cut " << i;
+    EXPECT_EQ(stats.txns_replayed, 19u) << "cut " << i;
+  }
+  EXPECT_EQ(states[0], states[2]);
+  EXPECT_EQ(states[1], states[2]);
 }
 
 }  // namespace

@@ -125,6 +125,97 @@ StateMap ReplayWith(const CommitLog& log, const ProcedureRegistry& registry,
   return StoreToMap(*store);
 }
 
+/// The whole-log recovery path the streaming scan replaced, kept as an
+/// oracle: decode every generation in full with CommitLog::LoadFrom, pick
+/// the anchor newest-first with FindPhaseToken, replay CommitsAfter /
+/// CommitsFrom serially.
+void OracleReplayGenerations(const std::vector<std::string>& files,
+                             const ProcedureRegistry& registry,
+                             ShardedStore* store, RecoveryStats* stats) {
+  std::vector<std::unique_ptr<CommitLog>> logs;
+  for (const std::string& file : files) {
+    logs.push_back(std::make_unique<CommitLog>());
+    ASSERT_TRUE(logs.back()->LoadFrom(file).ok()) << file;
+  }
+  size_t anchor = files.size();
+  if (stats->checkpoints_loaded != 0) {
+    for (size_t i = logs.size(); i-- > 0;) {
+      uint64_t lsn = 0;
+      if (logs[i]->FindPhaseToken(stats->last_checkpoint_id,
+                                  Phase::kResolve, &lsn) &&
+          lsn == stats->replay_from_lsn) {
+        anchor = i;
+        break;
+      }
+    }
+  }
+  ReplayScheduler replayer(registry, store, 1);
+  for (size_t i = 0; i < logs.size(); ++i) {
+    RecoveryStats::GenerationReplay gen;
+    gen.file = files[i];
+    gen.commits_total = logs[i]->CommitCount();
+    std::vector<LogEntry> commits;
+    bool skip = stats->checkpoints_loaded != 0 &&
+                (anchor == files.size() || i < anchor);
+    if (!skip) {
+      commits = i == anchor ? logs[i]->CommitsAfter(stats->replay_from_lsn)
+                            : logs[i]->CommitsFrom(0);
+    }
+    gen.replayed = commits.size();
+    gen.skipped = gen.commits_total - gen.replayed;
+    stats->generations.push_back(gen);
+    if (skip) continue;
+    ASSERT_TRUE(replayer.Replay(commits, stats).ok());
+    ++stats->log_generations_replayed;
+  }
+}
+
+/// Replays `files` into a fresh seeded store, either through
+/// ReplayLogGenerations (`threads` workers, `block_bytes` scan blocks) or,
+/// with threads == 0, through the oracle. `ckpt` simulates the loaded
+/// checkpoint: {last_checkpoint_id, replay_from_lsn}, or none if null.
+struct SimulatedCheckpoint {
+  uint64_t id = 0;
+  uint64_t vpoc_lsn = 0;
+};
+StateMap ReplayGenerationsWith(const std::vector<std::string>& files,
+                               const ProcedureRegistry& registry,
+                               const SimulatedCheckpoint* ckpt, int threads,
+                               size_t block_bytes, uint64_t num_records,
+                               RecoveryStats* stats) {
+  std::unique_ptr<ShardedStore> store = SeedStore(num_records);
+  if (ckpt != nullptr) {
+    stats->checkpoints_loaded = 1;
+    stats->last_checkpoint_id = ckpt->id;
+    stats->replay_from_lsn = ckpt->vpoc_lsn;
+  }
+  if (threads == 0) {
+    OracleReplayGenerations(files, registry, store.get(), stats);
+  } else {
+    EXPECT_TRUE(RecoveryManager::ReplayLogGenerations(
+                    files, registry, store.get(), stats, threads,
+                    block_bytes)
+                    .ok());
+  }
+  return StoreToMap(*store);
+}
+
+void ExpectSameGenerationStats(const RecoveryStats& want,
+                               const RecoveryStats& got) {
+  ASSERT_EQ(want.generations.size(), got.generations.size());
+  for (size_t i = 0; i < want.generations.size(); ++i) {
+    EXPECT_EQ(want.generations[i].file, got.generations[i].file);
+    EXPECT_EQ(want.generations[i].commits_total,
+              got.generations[i].commits_total) << i;
+    EXPECT_EQ(want.generations[i].replayed, got.generations[i].replayed)
+        << i;
+    EXPECT_EQ(want.generations[i].skipped, got.generations[i].skipped)
+        << i;
+  }
+  EXPECT_EQ(want.txns_replayed, got.txns_replayed);
+  EXPECT_EQ(want.log_generations_replayed, got.log_generations_replayed);
+}
+
 // The core acceptance property: replay_threads = 4 must produce
 // byte-identical store contents to serial replay, and the same
 // txns_replayed, across randomized conflict-prone workloads.
@@ -414,6 +505,147 @@ TEST(ReplayScheduler, EndToEndCommandLogRecoveryMatchesSerial) {
     EXPECT_EQ(serial_stats.generations[i].skipped,
               parallel_stats.generations[i].skipped);
   }
+}
+
+// Anchor in an older generation, a retired generation before it and
+// several full generations after it. Two other generations carry a
+// RESOLVE token with the checkpoint's id (crashed lifetimes reuse ids):
+// the older one at the very same LSN, which newest-first must pass over,
+// and a later one at a different LSN, which must not anchor. State and
+// every per-generation stat match the whole-log oracle, for serial and
+// parallel replay and for scan blocks from tiny (every frame straddles a
+// block) to the default.
+TEST(ReplayScheduler, StreamingScanMatchesWholeLogOracle) {
+  auto registry = MakeRegistry();
+  const uint64_t kRecords = 128;
+  const uint64_t kCkptId = 9;
+  TempDir dir;
+
+  CommitLog gens[4];
+  AppendRandomRmws(&gens[0], 17, kRecords, 4, 40);  // retired
+  gens[0].AppendPhaseTransition(Phase::kPrepare, kCkptId);
+  uint64_t stale_lsn = gens[0].AppendPhaseTransition(Phase::kResolve,
+                                                     kCkptId);
+  AppendRandomRmws(&gens[0], 13, kRecords, 4, 41);
+  AppendRandomRmws(&gens[1], 17, kRecords, 4, 42);
+  gens[1].AppendPhaseTransition(Phase::kPrepare, kCkptId);
+  uint64_t token_lsn = gens[1].AppendPhaseTransition(Phase::kResolve,
+                                                     kCkptId);
+  ASSERT_EQ(stale_lsn, token_lsn);
+  AppendRandomRmws(&gens[1], 23, kRecords, 4, 43);
+  AppendRandomRmws(&gens[2], 11, kRecords, 4, 44);
+  gens[2].AppendPhaseTransition(Phase::kResolve, kCkptId);  // decoy
+  AppendRandomRmws(&gens[2], 9, kRecords, 4, 45);
+  AppendRandomRmws(&gens[3], 35, kRecords, 4, 46);
+  std::vector<std::string> files;
+  for (int g = 0; g < 4; ++g) {
+    files.push_back(dir.path() + "/gen" + std::to_string(g));
+    ASSERT_TRUE(gens[g].PersistTo(files.back()).ok());
+  }
+
+  const SimulatedCheckpoint ckpt{kCkptId, token_lsn};
+  const std::vector<const SimulatedCheckpoint*> cases = {&ckpt, nullptr};
+  for (const SimulatedCheckpoint* c : cases) {
+    RecoveryStats oracle_stats;
+    StateMap oracle = ReplayGenerationsWith(files, *registry, c, 0, 0,
+                                            kRecords, &oracle_stats);
+    for (int threads : {1, 4}) {
+      for (size_t block : {size_t{16}, size_t{100}, size_t{0}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " block=" + std::to_string(block) +
+                     (c != nullptr ? " anchored" : " no checkpoint"));
+        RecoveryStats stats;
+        StateMap got = ReplayGenerationsWith(files, *registry, c, threads,
+                                             block, kRecords, &stats);
+        EXPECT_EQ(got, oracle);
+        ExpectSameGenerationStats(oracle_stats, stats);
+        EXPECT_GT(stats.log_bytes_scanned, 0u);
+      }
+    }
+  }
+  // Anchored: gen0 retired, gen1 split at the token, gen2/gen3 in full.
+  RecoveryStats stats;
+  ReplayGenerationsWith(files, *registry, &ckpt, 1, 0, kRecords, &stats);
+  ASSERT_EQ(stats.generations.size(), 4u);
+  EXPECT_EQ(stats.generations[0].skipped, 30u);
+  EXPECT_EQ(stats.generations[1].skipped, 17u);
+  EXPECT_EQ(stats.generations[1].replayed, 23u);
+  EXPECT_EQ(stats.generations[2].replayed, 20u);
+  EXPECT_EQ(stats.generations[3].replayed, 35u);
+  EXPECT_EQ(stats.log_generations_replayed, 3u);
+}
+
+// Frames straddling scan-block boundaries, and one frame whose args
+// alone exceed the scan block (the decoder grows its buffer for it):
+// every block size recovers the same state as the oracle.
+TEST(ReplayScheduler, StreamingScanHandlesFramesLargerThanBlock) {
+  auto registry = MakeRegistry();
+  const uint64_t kRecords = 256;
+  TempDir dir;
+  CommitLog log;
+  AppendRandomRmws(&log, 20, kRecords, 4, 51);
+  // ~40 keys x 8 B = a 320 B args payload, then one with 600 keys.
+  AppendRandomRmws(&log, 5, kRecords, 40, 52);
+  AppendRandomRmws(&log, 1, kRecords, 600, 53);
+  uint64_t token_lsn = log.AppendPhaseTransition(Phase::kResolve, 3);
+  AppendRandomRmws(&log, 1, kRecords, 600, 54);
+  AppendRandomRmws(&log, 30, kRecords, 4, 55);
+  std::vector<std::string> files = {dir.path() + "/gen0"};
+  ASSERT_TRUE(log.PersistTo(files[0]).ok());
+
+  const SimulatedCheckpoint ckpt{3, token_lsn};
+  RecoveryStats oracle_stats;
+  StateMap oracle = ReplayGenerationsWith(files, *registry, &ckpt, 0, 0,
+                                          kRecords, &oracle_stats);
+  ASSERT_EQ(oracle_stats.txns_replayed, 31u);
+  const size_t kLargeArgs = 600 * 8;
+  for (size_t block : {size_t{1}, size_t{7}, size_t{64}, kLargeArgs / 2,
+                       size_t{1} << 20}) {
+    SCOPED_TRACE("block=" + std::to_string(block));
+    RecoveryStats stats;
+    StateMap got = ReplayGenerationsWith(files, *registry, &ckpt, 4, block,
+                                         kRecords, &stats);
+    EXPECT_EQ(got, oracle);
+    ExpectSameGenerationStats(oracle_stats, stats);
+    // The scan reads the whole file; the collect re-reads only the tail.
+    uint64_t size = testing_util::FileSize(files[0]);
+    EXPECT_GT(stats.log_bytes_scanned, size);
+    EXPECT_LT(stats.log_bytes_scanned, 2 * size);
+  }
+}
+
+// No generation holds the loaded checkpoint's RESOLVE token at its LSN:
+// nothing replays and every generation reports all commits skipped.
+TEST(ReplayScheduler, AnchorNotFoundSkipsEveryGeneration) {
+  auto registry = MakeRegistry();
+  const uint64_t kRecords = 64;
+  TempDir dir;
+  CommitLog gen0, gen1;
+  AppendRandomRmws(&gen0, 12, kRecords, 3, 61);
+  gen0.AppendPhaseTransition(Phase::kResolve, 5);  // other checkpoint
+  AppendRandomRmws(&gen0, 8, kRecords, 3, 62);
+  AppendRandomRmws(&gen1, 15, kRecords, 3, 63);
+  std::vector<std::string> files = {dir.path() + "/gen0",
+                                    dir.path() + "/gen1"};
+  ASSERT_TRUE(gen0.PersistTo(files[0]).ok());
+  ASSERT_TRUE(gen1.PersistTo(files[1]).ok());
+
+  const SimulatedCheckpoint ckpt{6, 12};
+  RecoveryStats oracle_stats, stats;
+  StateMap oracle = ReplayGenerationsWith(files, *registry, &ckpt, 0, 0,
+                                          kRecords, &oracle_stats);
+  StateMap got = ReplayGenerationsWith(files, *registry, &ckpt, 4, 0,
+                                       kRecords, &stats);
+  EXPECT_EQ(got, oracle);
+  EXPECT_EQ(got, StoreToMap(*SeedStore(kRecords)));
+  ExpectSameGenerationStats(oracle_stats, stats);
+  ASSERT_EQ(stats.generations.size(), 2u);
+  EXPECT_EQ(stats.generations[0].commits_total, 20u);
+  EXPECT_EQ(stats.generations[0].skipped, 20u);
+  EXPECT_EQ(stats.generations[1].commits_total, 15u);
+  EXPECT_EQ(stats.generations[1].skipped, 15u);
+  EXPECT_EQ(stats.txns_replayed, 0u);
+  EXPECT_EQ(stats.log_generations_replayed, 0u);
 }
 
 }  // namespace
