@@ -1,7 +1,8 @@
 // Component microbenchmarks (google-benchmark): storage primitives, the
 // lock manager, dirty-key tracker variants (the paper's §2.3 ablation:
 // bit vector vs hash table vs Bloom filter), value pool vs malloc,
-// checkpoint file writing, and command-log generation decoding.
+// checkpoint file writing, the commit-log append path (alone and
+// contended under a live streamer), and command-log generation decoding.
 
 #include <benchmark/benchmark.h>
 
@@ -9,11 +10,14 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "checkpoint/ckpt_file.h"
 #include "checkpoint/dirty_tracker.h"
 #include "checkpoint/phase.h"
+#include "log/command_log_streamer.h"
 #include "log/commit_log.h"
 #include "log/log_reader.h"
 #include "storage/kv_store.h"
@@ -165,6 +169,47 @@ void BM_CommitLogAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CommitLogAppend);
+
+/// The commit path as micro_ckpt drives it: three appenders contend for
+/// the append latch while a live streamer snapshots, encodes, fsyncs and
+/// truncates behind a horizon that thread 0 advances every chunk's worth
+/// of its appends (a stand-in for checkpoint registration).
+void BM_CommitLogAppendStreamed(benchmark::State& state) {
+  static std::unique_ptr<CommitLog> log;
+  static std::unique_ptr<CommandLogStreamer> streamer;
+  static std::string dir;
+  if (state.thread_index() == 0) {
+    dir = bench::MakeScratchDir("log_append");
+    log = std::make_unique<CommitLog>();
+    streamer = std::make_unique<CommandLogStreamer>(log.get());
+    if (!streamer->Start(dir + "/cmdlog", /*flush_interval_ms=*/10).ok()) {
+      state.SkipWithError("streamer start failed");
+    }
+  }
+  PhaseController pc;
+  Phase phase;
+  uint64_t vpoc;
+  std::string args(84, 'a');
+  uint64_t txn_id = static_cast<uint64_t>(state.thread_index()) << 40;
+  uint64_t appended = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        log->AppendCommit(++txn_id, 1, args, &pc, &phase, &vpoc));
+    if (state.thread_index() == 0 &&
+        ++appended % CommitLog::kChunkSlots == 0) {
+      log->AdvanceRetentionHorizon(
+          log->AppendPhaseTransition(Phase::kResolve, appended));
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    if (!streamer->Stop().ok()) state.SkipWithError("streamer stop failed");
+    streamer.reset();
+    log.reset();
+    bench::RemoveDir(dir);
+  }
+}
+BENCHMARK(BM_CommitLogAppendStreamed)->Threads(3)->UseRealTime();
 
 void BM_CheckpointFileWrite(benchmark::State& state) {
   std::string value(100, 'v');
@@ -438,6 +483,45 @@ double MeasureLogDecodeMbps(const std::string& path, bool load_from) {
   return mb / best_s;
 }
 
+/// Appends per second through the streamed commit path: three threads
+/// append 84 B commits while a live streamer (10 ms batches) flushes and
+/// truncates behind a horizon advanced every chunk. Best of three passes.
+double MeasureLogAppendsPerSec(const std::string& dir) {
+  constexpr int kThreads = 3;
+  constexpr uint64_t kPerThread = 400000;
+  double best_s = 1e30;
+  for (int pass = 0; pass < 3; ++pass) {
+    CommitLog log;
+    CommandLogStreamer streamer(&log);
+    if (!streamer.Start(dir + "/append_pass" + std::to_string(pass), 10)
+             .ok()) {
+      return 0;
+    }
+    Stopwatch sw;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&log, t] {
+        PhaseController pc;
+        Phase phase;
+        uint64_t vpoc;
+        std::string args(84, 'a');
+        for (uint64_t i = 1; i <= kPerThread; ++i) {
+          log.AppendCommit(i, 1, args, &pc, &phase, &vpoc);
+          if (t == 0 && i % CommitLog::kChunkSlots == 0) {
+            log.AdvanceRetentionHorizon(
+                log.AppendPhaseTransition(Phase::kResolve, i));
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    double s = sw.ElapsedSeconds();
+    if (!streamer.Stop().ok()) return 0;
+    if (s < best_s) best_s = s;
+  }
+  return static_cast<double>(kThreads * kPerThread) / best_s;
+}
+
 void EmitIoFastpathJson(const bench::Flags& flags) {
   std::string json_path =
       flags.Str("json_out", "BENCH_io_fastpath.json");
@@ -455,6 +539,7 @@ void EmitIoFastpathJson(const bench::Flags& flags) {
   std::string log_path = WriteLogGeneration(dir, 300000);  // ~35 MB
   double scan_mbps = MeasureLogDecodeMbps(log_path, /*load_from=*/false);
   double load_mbps = MeasureLogDecodeMbps(log_path, /*load_from=*/true);
+  double appends_per_s = MeasureLogAppendsPerSec(dir);
   bench::RemoveDir(dir);
 
   std::FILE* jf = std::fopen(json_path.c_str(), "w");
@@ -493,15 +578,23 @@ void EmitIoFastpathJson(const bench::Flags& flags) {
                "    {\"row\": \"log_scan\", \"mb_per_s\": %.1f, "
                "\"speedup_vs_load_from\": %.2f}\n",
                scan_mbps, load_mbps > 0 ? scan_mbps / load_mbps : 0);
+  std::fprintf(jf, "  ],\n  \"commit_log\": [\n");
+  std::fprintf(jf,
+               "    {\"row\": \"log_append\", \"threads\": 3, "
+               "\"streamer\": true, \"appends_per_s\": %.0f, "
+               "\"ns_per_append\": %.1f}\n",
+               appends_per_s, appends_per_s > 0 ? 1e9 / appends_per_s : 0);
   std::fprintf(jf, "  ]\n}\n");
   std::fclose(jf);
   std::printf("io fastpath json: %s (crc slice8 %.1fx, hw %.1fx; "
-              "writer async %.2fx; log scan %.0f MB/s, %.2fx LoadFrom)\n",
+              "writer async %.2fx; log scan %.0f MB/s, %.2fx LoadFrom; "
+              "log append %.2f M/s)\n",
               json_path.c_str(),
               base_mbps > 0 ? slice8_mbps / base_mbps : 0,
               base_mbps > 0 ? hw_mbps / base_mbps : 0,
               sync_mbps > 0 ? async_mbps / sync_mbps : 0, scan_mbps,
-              load_mbps > 0 ? scan_mbps / load_mbps : 0);
+              load_mbps > 0 ? scan_mbps / load_mbps : 0,
+              appends_per_s / 1e6);
 }
 
 }  // namespace calcdb

@@ -541,17 +541,7 @@ Status CalcCheckpointer::RunCheckpointCycle() {
   // --- Back to rest ------------------------------------------------------
   engine_.log->AppendPhaseTransition(Phase::kRest, id, engine_.phases);
 
-  // Durability barrier: the manifest may name this checkpoint only after
-  // its RESOLVE token is fsynced. Registering earlier would let a crash
-  // leave a checkpoint whose token exists in no log generation, and
-  // recovery's anchor rule would then skip later lifetimes' durable
-  // commits (docs/DURABILITY.md).
-  CALCDB_RETURN_NOT_OK(WaitLogDurable(vpoc_lsn));
-  // A crash here leaves fully-written checkpoint files that the manifest
-  // never lists: recovery ignores them and replays the tail from the log.
-  CALCDB_FAULT_POINT("ckpt.register");
-  engine_.ckpt_storage->Register(info);
-  CALCDB_RETURN_NOT_OK(engine_.ckpt_storage->PersistManifest());
+  CALCDB_RETURN_NOT_OK(PublishCheckpoint(info));
 
   stats.quiesce_micros = 0;  // CALC never closes the admission gate
   stats.total_micros = total.ElapsedMicros();

@@ -5,6 +5,7 @@
 #include "log/command_log_streamer.h"
 #include "obs/obs.h"
 #include "util/clock.h"
+#include "util/fault_injection.h"
 
 namespace calcdb {
 
@@ -35,6 +36,28 @@ Status Checkpointer::WaitLogDurable(uint64_t vpoc_lsn) {
   }
   CALCDB_HISTOGRAM_RECORD("calcdb.ckpt.log_barrier_us",
                           sw.ElapsedMicros());
+  return Status::OK();
+}
+
+Status Checkpointer::PublishCheckpoint(const CheckpointInfo& info) {
+  // Durability barrier: the manifest may name this checkpoint only after
+  // its RESOLVE token is fsynced. Registering earlier would let a crash
+  // leave a checkpoint whose token exists in no log generation, and
+  // recovery's anchor rule would then skip later lifetimes' durable
+  // commits (docs/DURABILITY.md).
+  CALCDB_RETURN_NOT_OK(WaitLogDurable(info.vpoc_lsn));
+  // A crash here leaves fully-written checkpoint files that the manifest
+  // never lists: recovery ignores them and replays the tail from the log.
+  CALCDB_FAULT_POINT("ckpt.register");
+  engine_.ckpt_storage->Register(info);
+  CALCDB_RETURN_NOT_OK(engine_.ckpt_storage->PersistManifest());
+  // From here on recovery replays only past info.vpoc_lsn, so the
+  // streamed log's in-memory copy below it is dead weight. Without a
+  // streamer the in-memory log is the only command log and keeps
+  // everything.
+  if (engine_.streamer != nullptr) {
+    engine_.log->AdvanceRetentionHorizon(info.vpoc_lsn);
+  }
   return Status::OK();
 }
 

@@ -104,17 +104,14 @@ class Checkpointer {
   }
 
  protected:
-  /// Durability barrier for the checkpoint's point-of-consistency token.
-  /// Blocks until the attached command-log streamer (if any) has fsynced
-  /// the log through `vpoc_lsn` inclusive; a no-op when no streamer is
-  /// attached. Every cycle MUST pass this barrier before Register +
-  /// PersistManifest: a checkpoint registered while its RESOLVE token is
-  /// still unflushed breaks recovery's anchor rule — a later lifetime's
-  /// fsynced commits would be skipped as "nothing after the token
-  /// persisted" (docs/DURABILITY.md). Returns the streamer's error if it
-  /// can no longer make progress, failing the cycle before anything is
-  /// registered.
-  [[nodiscard]] Status WaitLogDurable(uint64_t vpoc_lsn);
+  /// The one publish step every algorithm ends its cycle with:
+  /// WaitLogDurable(info.vpoc_lsn), Register, PersistManifest, then —
+  /// only while a command-log streamer runs — advance the commit log's
+  /// retention horizon to `info.vpoc_lsn`, letting the streamer drop the
+  /// entries this checkpoint covers (docs/DURABILITY.md, "Commit-log
+  /// retention"). The `ckpt.register` crash point sits between the
+  /// barrier and Register.
+  [[nodiscard]] Status PublishCheckpoint(const CheckpointInfo& info);
 
   /// Publishes cycle stats and mirrors them into the metrics registry
   /// (per-algorithm counters + duration histograms). Cold path: runs
@@ -124,6 +121,18 @@ class Checkpointer {
   EngineContext engine_;
 
  private:
+  /// Durability barrier for the checkpoint's point-of-consistency token.
+  /// Blocks until the attached command-log streamer (if any) has fsynced
+  /// the log through `vpoc_lsn` inclusive; a no-op when no streamer is
+  /// attached. PublishCheckpoint passes this barrier before Register +
+  /// PersistManifest: a checkpoint registered while its RESOLVE token is
+  /// still unflushed breaks recovery's anchor rule — a later lifetime's
+  /// fsynced commits would be skipped as "nothing after the token
+  /// persisted" (docs/DURABILITY.md). Returns the streamer's error if it
+  /// can no longer make progress, failing the cycle before anything is
+  /// registered.
+  [[nodiscard]] Status WaitLogDurable(uint64_t vpoc_lsn);
+
   mutable SpinLatch stats_latch_;
   CheckpointCycleStats last_cycle_;
 };

@@ -179,12 +179,7 @@ Status FuzzyCheckpointer::RunCheckpointCycle() {
   info.vpoc_lsn = poc_lsn;
   info.num_entries = writer.entries_written();
   info.path = path;
-  // Durability barrier: register only once the point-of-consistency token
-  // is fsynced by the command-log streamer (see
-  // Checkpointer::WaitLogDurable; no-op without a streamer).
-  CALCDB_RETURN_NOT_OK(WaitLogDurable(info.vpoc_lsn));
-  engine_.ckpt_storage->Register(info);
-  CALCDB_RETURN_NOT_OK(engine_.ckpt_storage->PersistManifest());
+  CALCDB_RETURN_NOT_OK(PublishCheckpoint(info));
 
   stats.records_written = writer.entries_written();
   stats.bytes_written = writer.bytes_written();

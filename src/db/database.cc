@@ -172,6 +172,16 @@ Status Database::Shutdown() {
     merger_->StopBackground();
     merger_.reset();
   }
+#if CALCDB_OBS_ENABLED
+  if (retained_gauge_live_) {
+    // Freeze the retained-entries gauge at its final value: it captured
+    // `this`.
+    retained_gauge_live_ = false;
+    const auto retained = static_cast<int64_t>(log_.RetainedEntries());
+    obs::MetricsRegistry::Global().RegisterCallbackGauge(
+        "calcdb.log.retained_entries", [retained] { return retained; });
+  }
+#endif  // CALCDB_OBS_ENABLED
   return st;
 }
 
@@ -401,6 +411,16 @@ Status Database::Start() {
         });
 #endif  // CALCDB_OBS_ENABLED
   }
+#if CALCDB_OBS_ENABLED
+  // Entries the in-memory commit log still holds: everything without a
+  // streamer, else what truncation has not yet dropped behind the newest
+  // registered checkpoint (docs/DURABILITY.md, "Commit-log retention").
+  obs::MetricsRegistry::Global().RegisterCallbackGauge(
+      "calcdb.log.retained_entries", [this]() -> int64_t {
+        return static_cast<int64_t>(log_.RetainedEntries());
+      });
+  retained_gauge_live_ = true;
+#endif  // CALCDB_OBS_ENABLED
   CALCDB_RETURN_NOT_OK(MakeCheckpointer());
   EngineContext engine;
   engine.store = store_.get();
@@ -545,6 +565,7 @@ std::string Database::GetStatsString() const {
     line("txn.aborted", executor_->aborted());
   }
   line("log.entries", log_.Size());
+  line("log.retained", log_.RetainedEntries());
   line("log.vpoc_count", log_.VpocCount());
   std::vector<CheckpointInfo> ckpts = ckpt_storage_.List();
   line("checkpoint.count", ckpts.size());

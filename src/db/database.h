@@ -179,6 +179,9 @@ class Database {
   std::unique_ptr<CommandLogStreamer> streamer_;
   std::unique_ptr<obs::StatsReporter> stats_reporter_;
   bool started_ = false;
+  /// calcdb.log.retained_entries samples this Database's log (from
+  /// Start until Shutdown freezes it).
+  bool retained_gauge_live_ = false;
 
   std::atomic<bool> periodic_running_{false};
   std::atomic<uint64_t> periodic_done_{0};

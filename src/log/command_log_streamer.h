@@ -43,6 +43,13 @@ namespace calcdb {
 /// checkpoint may be registered in the manifest only after its RESOLVE
 /// token's flush batch is fsynced (Checkpointer::WaitLogDurable).
 ///
+/// Each flush pins the batch's entries with one latch acquisition
+/// (CommitLog::SnapshotRange) and encodes the frames outside the latch.
+/// After each fsync the streamer thread truncates the in-memory log
+/// (CommitLog::TruncateDurable): entries below both the persisted LSN and
+/// the newest registered checkpoint's point of consistency are dropped,
+/// so appending workers never free log memory themselves.
+///
 /// Note on durability semantics: like VoltDB's asynchronous command
 /// logging, a window of the most recent commits (up to one flush
 /// interval) can be lost in a crash. Synchronous command logging would
@@ -51,7 +58,7 @@ namespace calcdb {
 /// accept it (paper §1's three application classes).
 class CommandLogStreamer {
  public:
-  explicit CommandLogStreamer(const CommitLog* log) : log_(log) {}
+  explicit CommandLogStreamer(CommitLog* log) : log_(log) {}
   ~CommandLogStreamer() {
     // calcdb-status-ignored: destructor has no error channel; Stop()
     // already folds final-drain failures into background_status, and
@@ -97,8 +104,9 @@ class CommandLogStreamer {
   [[nodiscard]] Status FlushUpTo(uint64_t target_lsn);
   void SetBackgroundStatus(const Status& st);
 
-  const CommitLog* log_;
+  CommitLog* log_;
   ThrottledFileWriter writer_;
+  std::string batch_;  ///< reused encode buffer (flushing thread only)
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> persisted_lsn_{0};
   std::thread thread_;

@@ -8,12 +8,10 @@ namespace calcdb {
 
 namespace {
 
-constexpr size_t kHeaderBytes = 4 + 4;  // len + crc
+constexpr size_t kHeaderBytes = CommitLog::kFrameHeaderBytes;
 constexpr uint32_t kMaxFrameBytes = 1u << 30;
-// Commit payload: type + txn_id + proc_id + args_len, then args.
-constexpr uint64_t kCommitFixedBytes = 1 + 8 + 4 + 4;
-// Phase payload: type + phase + checkpoint_id.
-constexpr uint64_t kPhaseBytes = 1 + 1 + 8;
+constexpr uint64_t kCommitFixedBytes = CommitLog::kCommitFixedBytes;
+constexpr uint64_t kPhaseBytes = CommitLog::kPhasePayloadBytes;
 
 }  // namespace
 

@@ -53,10 +53,8 @@ ReplayScheduler::~ReplayScheduler() {
 
 void ReplayScheduler::CountReplayed(const LogEntry& entry) {
   CALCDB_COUNTER_ADD("calcdb.recovery.txns_replayed", 1);
-  // Framed commit size: len + crc + type + txn_id + proc_id +
-  // args_len + args (matches CommitLog::EncodeEntry).
   CALCDB_COUNTER_ADD("calcdb.recovery.log_read_bytes",
-                     4 + 4 + 1 + 8 + 4 + 4 + entry.args.size());
+                     CommitLog::FramedCommitBytes(entry.args.size()));
   // Batch markers let a trace show replay progress over time.
   uint64_t n = replayed_total_.fetch_add(1, std::memory_order_relaxed) + 1;
   if ((n & 8191) == 0) {

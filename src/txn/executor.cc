@@ -130,7 +130,7 @@ Status Executor::Execute(uint32_t proc_id, std::string args,
     // instant of commit. "Each transaction commits by atomically appending
     // a commit token to this log before releasing any of its locks."
     txn.commit_lsn = engine_.log->AppendCommit(
-        txn.txn_id, proc_id, std::move(args), engine_.phases,
+        txn.txn_id, proc_id, args, engine_.phases,
         &txn.commit_phase, &txn.vpoc_count);
     txn.committed = true;
     txn.commit_us = NowMicros();

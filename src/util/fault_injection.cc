@@ -42,8 +42,9 @@ constexpr FaultPointInfo kRegistry[] = {
     {"ckpt.segment.finish",
      "CALC segmented capture, before a segment writer's Finish"},
     {"ckpt.register",
-     "Checkpoint cycle, after capture and the log-durability barrier "
-     "(WaitLogDurable), before Register + PersistManifest"},
+     "Checkpointer::PublishCheckpoint (every algorithm's cycle), after "
+     "the log-durability barrier (WaitLogDurable), before Register + "
+     "PersistManifest"},
     {"manifest.write",
      "CheckpointStorage::PersistManifest, before flushing the manifest "
      ".tmp"},

@@ -226,6 +226,139 @@ TEST(LogFrameReaderTest, ScanAndLoadAgreeOnDamageAndTornTails) {
   }
 }
 
+// EncodeEntry writes frames in place; the bytes must stay exactly the
+// documented layout every existing generation file uses.
+TEST(CommitLogTest, EncodeEntryMatchesFrameLayout) {
+  std::string commit_payload(1, '\x00');
+  uint64_t txn_id = 0x0102030405060708ull;
+  uint32_t proc_id = 9, args_len = 3;
+  commit_payload.append(reinterpret_cast<const char*>(&txn_id), 8);
+  commit_payload.append(reinterpret_cast<const char*>(&proc_id), 4);
+  commit_payload.append(reinterpret_cast<const char*>(&args_len), 4);
+  commit_payload += std::string("a\0c", 3);
+  std::string phase_payload("\x01\x02", 2);
+  uint64_t ckpt = 77;
+  phase_payload.append(reinterpret_cast<const char*>(&ckpt), 8);
+
+  std::string out = "prefix";
+  CommitLog::EncodeEntry(
+      LogEntry{LogEntry::Type::kCommit, txn_id, proc_id,
+               std::string("a\0c", 3)},
+      &out);
+  LogEntry token;
+  token.type = LogEntry::Type::kPhaseTransition;
+  token.phase = Phase::kResolve;
+  token.checkpoint_id = ckpt;
+  CommitLog::EncodeEntry(token, &out);
+  EXPECT_EQ(out, "prefix" + Frame(commit_payload) + Frame(phase_payload));
+  EXPECT_EQ(Frame(commit_payload).size(), CommitLog::FramedCommitBytes(3));
+}
+
+/// Appends the same deterministic mix of commits (args of varied sizes,
+/// some larger than a chunk arena) and phase tokens to every log in
+/// `logs`. Returns the LSN of the last RESOLVE token.
+uint64_t AppendMix(const std::vector<CommitLog*>& logs, uint64_t entries) {
+  uint64_t last_vpoc = 0;
+  for (uint64_t i = 0; i < entries; ++i) {
+    for (CommitLog* log : logs) {
+      if (i % 997 == 0) {
+        last_vpoc = log->AppendPhaseTransition(Phase::kResolve, i / 997 + 1);
+      } else {
+        size_t len = i % 5000 == 1 ? CommitLog::kChunkArenaBytes + 17
+                                   : static_cast<size_t>(i % 200);
+        log->AppendCommit(i, static_cast<uint32_t>(i % 7),
+                          std::string(len, static_cast<char>('a' + i % 26)));
+      }
+    }
+  }
+  return last_vpoc;
+}
+
+std::string EncodeRange(const CommitLog& log, uint64_t from, uint64_t to) {
+  std::string out;
+  log.SnapshotRange(from, to).EncodeAll(&out);
+  return out;
+}
+
+// Truncation drops whole sealed chunks below min(persisted, horizon) and
+// nothing else changes: LSNs, counts and the token index keep their
+// lifetime meaning, and every retained entry is byte-equal to an
+// untruncated twin.
+TEST(CommitLogTest, TruncationKeepsLsnsCountsAndRetainedBytes) {
+  CommitLog log, twin;
+  const uint64_t kEntries = 5 * CommitLog::kChunkSlots + 123;
+  const uint64_t vpoc = AppendMix({&log, &twin}, kEntries);
+  ASSERT_GT(vpoc, 3 * uint64_t{CommitLog::kChunkSlots});
+
+  // No horizon yet (no checkpoint registered): nothing is dropped, however
+  // far the log is persisted.
+  EXPECT_EQ(log.TruncateDurable(kEntries), 0u);
+  EXPECT_EQ(log.FirstRetainedLsn(), 0u);
+
+  // The horizon is min(persisted, vpoc): a small persisted LSN bounds it.
+  log.AdvanceRetentionHorizon(vpoc);
+  log.AdvanceRetentionHorizon(1);  // never lowers the horizon
+  const uint64_t below_ten = log.TruncateDurable(10);
+  EXPECT_LE(below_ten, 10u);
+  EXPECT_EQ(log.FirstRetainedLsn(), below_ten);
+  const uint64_t dropped = log.TruncateDurable(kEntries);
+  ASSERT_GT(dropped, 0u);
+  const uint64_t first = log.FirstRetainedLsn();
+  EXPECT_EQ(first, below_ten + dropped);
+  EXPECT_LE(first, vpoc);
+  EXPECT_GT(first + CommitLog::kChunkSlots, vpoc);  // whole chunks only
+  EXPECT_EQ(log.RetainedEntries(), kEntries - first);
+  EXPECT_EQ(log.TruncateDurable(kEntries), 0u);  // idempotent
+
+  EXPECT_EQ(log.Size(), twin.Size());
+  EXPECT_EQ(log.CommitCount(), twin.CommitCount());
+  EXPECT_EQ(log.VpocCount(), twin.VpocCount());
+  for (uint64_t id = 1; id <= kEntries / 997 + 1; ++id) {
+    uint64_t a = 0, b = 0;
+    ASSERT_EQ(log.FindPhaseToken(id, Phase::kResolve, &a),
+              twin.FindPhaseToken(id, Phase::kResolve, &b));
+    EXPECT_EQ(a, b);
+  }
+  EXPECT_EQ(EncodeRange(log, first, UINT64_MAX),
+            EncodeRange(twin, first, UINT64_MAX));
+  for (uint64_t lsn = first; lsn < kEntries; lsn += 331) {
+    LogEntry a = log.Entry(lsn), b = twin.Entry(lsn);
+    EXPECT_EQ(a.type, b.type);
+    EXPECT_EQ(a.txn_id, b.txn_id);
+    EXPECT_EQ(a.proc_id, b.proc_id);
+    EXPECT_EQ(a.args, b.args);
+    EXPECT_EQ(a.checkpoint_id, b.checkpoint_id);
+  }
+  std::vector<LogEntry> tail = log.CommitsAfter(vpoc);
+  std::vector<LogEntry> twin_tail = twin.CommitsAfter(vpoc);
+  ASSERT_EQ(tail.size(), twin_tail.size());
+  for (size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].txn_id, twin_tail[i].txn_id);
+    EXPECT_EQ(tail[i].args, twin_tail[i].args);
+  }
+
+  // Appends after truncation keep the dense LSN sequence.
+  EXPECT_EQ(log.AppendCommit(1, 1, "after"), twin.AppendCommit(1, 1, "after"));
+}
+
+// A read below the first retained LSN is a programming error: it fails
+// an assert instead of returning a silently shorter log.
+TEST(CommitLogDeathTest, ReadBelowRetainedAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "asserts compiled out";
+#endif
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  CommitLog log;
+  const uint64_t vpoc = AppendMix({&log}, 3 * CommitLog::kChunkSlots);
+  log.AdvanceRetentionHorizon(vpoc);
+  ASSERT_GT(log.TruncateDurable(log.Size()), 0u);
+  EXPECT_DEATH((void)log.Entry(0), "retained");
+  EXPECT_DEATH((void)log.CommitsFrom(0), "retained");
+  testing_util::TempDir dir;
+  // calcdb-status-ignored: the call must abort before returning.
+  EXPECT_DEATH((void)log.PersistTo(dir.path() + "/log"), "retained");
+}
+
 TEST(CommitLogTest, ConcurrentAppendsAllLand) {
   CommitLog log;
   std::vector<std::thread> threads;

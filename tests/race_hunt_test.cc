@@ -13,6 +13,9 @@
 //      ordering (value.h) must make safe.
 //  R4. Command-log "rotation": streamer stop/start onto fresh files while
 //      appenders and phase transitions keep hitting the commit log.
+//  R4b. Commit-log flush/truncate: three appenders and a phase-token
+//      appender race the streamer's snapshot-then-encode flushes and its
+//      chunk truncation behind an advancing retention horizon.
 //  R5. PhaseController begin/end storm against phase transitions driven
 //      through the commit log latch.
 //  R7. Parallel replay worker pool (recovery/replay_scheduler.h): a
@@ -35,6 +38,7 @@
 #include "gtest/gtest.h"
 #include "log/command_log_streamer.h"
 #include "log/commit_log.h"
+#include "log/log_reader.h"
 #include "recovery/recovery_manager.h"
 #include "storage/kv_store.h"
 #include "storage/value.h"
@@ -425,6 +429,115 @@ TEST(RaceHuntTest, LogRotationDuringAppend) {
   }
   // No append was lost or duplicated by the rotation storm.
   EXPECT_EQ(log.CommitsFrom(0).size(), static_cast<size_t>(2 * kAppends));
+}
+
+// ---------------------------------------------------------------------------
+// R4b: streamer flush + truncation while three appenders and a phase-token
+// appender keep the commit log busy. The generation file must decode to
+// exactly the appended sequence, although most of it has been dropped
+// from memory by the time the streamer stops.
+// ---------------------------------------------------------------------------
+
+TEST(RaceHuntTest, StreamerTruncatesDuringAppend) {
+  TempDir dir;
+  CommitLog log;
+  PhaseController phases;
+  // Fixed (not scaled): the log must span several chunks for truncation
+  // to run at all.
+  constexpr int kAppends = 6000;
+  constexpr int kAppenders = 3;
+  struct Appended {
+    uint64_t lsn;
+    LogEntry entry;
+  };
+  std::vector<std::vector<Appended>> appended(kAppenders + 1);
+
+  CommandLogStreamer streamer(&log);
+  ASSERT_TRUE(
+      streamer.Start(dir.path() + "/commandlog", /*flush_interval_ms=*/1)
+          .ok());
+  std::atomic<int> appenders_left{kAppenders};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kAppenders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kAppends; ++i) {
+        LogEntry e;
+        e.txn_id = static_cast<uint64_t>(t) * 1000000 + i;
+        e.proc_id = static_cast<uint32_t>(t);
+        e.args.assign(static_cast<size_t>(i % 97),
+                      static_cast<char>('a' + t));
+        Phase commit_phase;
+        uint64_t lsn = log.AppendCommit(e.txn_id, e.proc_id, e.args,
+                                        &phases, &commit_phase);
+        appended[t].push_back(Appended{lsn, std::move(e)});
+      }
+      appenders_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  // One simulated checkpoint per pass: once the streamer has persisted
+  // the RESOLVE token, its LSN becomes the retention horizon — the order
+  // Checkpointer::PublishCheckpoint uses.
+  threads.emplace_back([&] {
+    for (uint64_t ckpt = 1;; ++ckpt) {
+      // The pass after the appenders finished puts its horizon past
+      // every commit.
+      const bool last_pass =
+          appenders_left.load(std::memory_order_acquire) == 0;
+      uint64_t vpoc = 0;
+      for (Phase p : {Phase::kPrepare, Phase::kResolve, Phase::kCapture,
+                      Phase::kComplete, Phase::kRest}) {
+        LogEntry e;
+        e.type = LogEntry::Type::kPhaseTransition;
+        e.phase = p;
+        e.checkpoint_id = ckpt;
+        uint64_t lsn = log.AppendPhaseTransition(p, ckpt, &phases);
+        if (p == Phase::kResolve) vpoc = lsn;
+        appended[kAppenders].push_back(Appended{lsn, std::move(e)});
+      }
+      while (streamer.persisted_lsn() <= vpoc &&
+             streamer.background_status().ok()) {
+        SleepMicros(100);
+      }
+      log.AdvanceRetentionHorizon(vpoc);
+      if (last_pass) break;
+    }
+  });
+  for (auto& t : threads) t.join();
+  // The final drain flushes this entry and truncates behind the last
+  // horizon.
+  LogEntry last;
+  last.type = LogEntry::Type::kPhaseTransition;
+  uint64_t last_lsn = log.AppendPhaseTransition(last.phase, 0);
+  appended[kAppenders].push_back(Appended{last_lsn, last});
+  ASSERT_TRUE(streamer.Stop().ok());
+  EXPECT_GT(log.FirstRetainedLsn(),
+            static_cast<uint64_t>(kAppenders) * kAppends / 2);
+
+  std::vector<const LogEntry*> by_lsn(log.Size(), nullptr);
+  for (const auto& per_thread : appended) {
+    for (const Appended& a : per_thread) {
+      ASSERT_LT(a.lsn, by_lsn.size());
+      ASSERT_EQ(by_lsn[a.lsn], nullptr) << "LSN handed out twice";
+      by_lsn[a.lsn] = &a.entry;
+    }
+  }
+  LogFrameReader reader;
+  ASSERT_TRUE(reader.Open(streamer.active_path(), /*block_bytes=*/0).ok());
+  LogFrame frame;
+  uint64_t lsn = 0;
+  for (bool done = false;; ++lsn) {
+    ASSERT_TRUE(reader.Next(&frame, &done).ok());
+    if (done) break;
+    ASSERT_LT(lsn, by_lsn.size());
+    const LogEntry& want = *by_lsn[lsn];
+    ASSERT_EQ(frame.type, want.type) << lsn;
+    EXPECT_EQ(frame.txn_id, want.txn_id) << lsn;
+    EXPECT_EQ(frame.proc_id, want.proc_id) << lsn;
+    EXPECT_EQ(frame.args, want.args) << lsn;
+    EXPECT_EQ(frame.phase, want.phase) << lsn;
+    EXPECT_EQ(frame.checkpoint_id, want.checkpoint_id) << lsn;
+  }
+  EXPECT_EQ(lsn, log.Size());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // Tests for the command-log streamer: continuous persistence, torn-tail
 // tolerance, and end-to-end streamed recovery through the Database facade.
 
+#include <atomic>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -9,6 +11,7 @@
 
 #include "gtest/gtest.h"
 #include "log/command_log_streamer.h"
+#include "log/log_reader.h"
 #include "tests/test_util.h"
 #include "util/throttled_file.h"
 #include "workload/microbench.h"
@@ -18,6 +21,12 @@ namespace {
 
 using testing_util::DbToMap;
 using testing_util::TempDir;
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
 
 TEST(CommandLogStreamerTest, StreamsAndDrainsOnStop) {
   TempDir dir;
@@ -171,6 +180,32 @@ TEST(CommandLogStreamerTest, DoubleStartRejected) {
   EXPECT_TRUE(streamer.Stop().ok());  // idempotent
 }
 
+// Truncation only affects memory: the generation file a truncating
+// streamer writes is byte-identical to PersistTo of an untruncated twin.
+TEST(CommandLogStreamerTest, TruncatedGenerationMatchesPersistTo) {
+  TempDir dir;
+  CommitLog log, twin;
+  CommandLogStreamer streamer(&log);
+  ASSERT_TRUE(streamer.Start(dir.path() + "/stream", 1).ok());
+  const uint64_t kEntries = 4 * CommitLog::kChunkSlots;
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    if (i % 1000 == 0) {
+      uint64_t vpoc = log.AppendPhaseTransition(Phase::kResolve, i + 1);
+      twin.AppendPhaseTransition(Phase::kResolve, i + 1);
+      log.AdvanceRetentionHorizon(vpoc);
+    } else {
+      std::string args(i % 61, static_cast<char>('a' + i % 26));
+      log.AppendCommit(i, 3, args);
+      twin.AppendCommit(i, 3, args);
+    }
+  }
+  ASSERT_TRUE(streamer.Stop().ok());
+  EXPECT_GT(log.FirstRetainedLsn(), 0u);
+  const std::string persisted = dir.path() + "/persisted";
+  ASSERT_TRUE(twin.PersistTo(persisted).ok());
+  EXPECT_EQ(ReadFile(streamer.active_path()), ReadFile(persisted));
+}
+
 // The registration durability barrier: a checkpoint may enter the
 // manifest only after its RESOLVE token's flush batch is fsynced.
 // Without the barrier, Checkpoint() returns within a flush interval of
@@ -279,6 +314,141 @@ TEST(StreamedRecoveryTest, DatabaseRecoversFromStreamedLog) {
   EXPECT_EQ(recovered->command_log_streamer()->active_path(),
             generations[1]);
   EXPECT_EQ(DbToMap(recovered.get()), pre_crash);
+}
+
+// Soak: CALC cycles back to back under three concurrent workers with the
+// streamer truncating behind every registered checkpoint. The in-memory
+// log stays bounded by one cycle's entries, and recovery from the
+// streamed generations still reproduces the live store exactly.
+TEST(StreamedRecoveryTest, TruncationSoakBoundsLogAndRecoversExactly) {
+  TempDir dir;
+  MicrobenchConfig config;
+  config.num_records = 400;
+  config.value_size = 32;
+  config.ops_per_txn = 4;
+
+  Options options;
+  options.max_records = 1024;
+  options.algorithm = CheckpointAlgorithm::kCalc;
+  options.checkpoint_dir = dir.path() + "/ckpt";
+  options.disk_bytes_per_sec = 0;
+  options.command_log_path = dir.path() + "/commandlog";
+  options.command_log_flush_ms = 1;
+
+  constexpr int kCycles = 20;
+  constexpr uint64_t kEntriesPerCycle = 600;
+  testing_util::StateMap live;
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(options, &db).ok());
+    ASSERT_TRUE(SetupMicrobench(db.get(), config).ok());
+    // The base checkpoint's short-lived flush streamer drops nothing.
+    ASSERT_TRUE(db->WriteBaseCheckpoint().ok());
+    ASSERT_TRUE(db->Start().ok());
+    const CommitLog* log = db->commit_log();
+    EXPECT_EQ(log->FirstRetainedLsn(), 0u);
+
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 3; ++w) {
+      workers.emplace_back([&, w] {
+        MicrobenchWorkload workload(config);
+        Rng rng(100 + w);
+        while (!stop.load(std::memory_order_acquire)) {
+          TxnRequest req = workload.Next(rng);
+          EXPECT_TRUE(db->executor()
+                          ->Execute(req.proc_id, std::move(req.args), 0)
+                          .ok());
+        }
+      });
+    }
+    uint64_t prev_vpoc = 0;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      const uint64_t start = log->Size();
+      for (int i = 0; i < 20000 && log->Size() < start + kEntriesPerCycle;
+           ++i) {
+        SleepMicros(250);
+      }
+      ASSERT_TRUE(db->Checkpoint().ok());
+      // Retained is read before Size: the bound holds at any later Size.
+      const uint64_t retained = log->RetainedEntries();
+      const uint64_t size = log->Size();
+      EXPECT_LE(retained, size - prev_vpoc + CommitLog::kChunkSlots)
+          << "cycle " << cycle;
+      prev_vpoc = db->checkpoint_storage()->List().back().vpoc_lsn;
+    }
+    stop.store(true, std::memory_order_release);
+    for (auto& t : workers) t.join();
+    EXPECT_GT(log->FirstRetainedLsn(), 0u);
+    live = DbToMap(db.get());
+    ASSERT_TRUE(db->Shutdown().ok());
+
+    // Every generation still starts at LSN 0: the running lifetime's
+    // generation holds every entry the log ever appended.
+    std::vector<std::string> generations;
+    ASSERT_TRUE(CommandLogStreamer::ListLogFiles(options.command_log_path,
+                                                 &generations)
+                    .ok());
+    ASSERT_EQ(generations.size(), 2u);  // base-checkpoint flush + lifetime
+    LogScan scan;
+    ASSERT_TRUE(ScanLogFile(generations.back(), 0, &scan).ok());
+    EXPECT_EQ(scan.entries, log->Size());
+  }
+
+  std::unique_ptr<Database> recovered;
+  ASSERT_TRUE(Database::Open(options, &recovered).ok());
+  recovered->registry()->Register(
+      std::make_unique<RmwProcedure>(config.value_size));
+  recovered->registry()->Register(
+      std::make_unique<BatchWriteProcedure>(config.value_size));
+  RecoveryStats stats;
+  ASSERT_TRUE(recovered->RecoverFromCommandLog(&stats).ok());
+  EXPECT_GT(stats.txns_replayed, 0u);
+  EXPECT_EQ(DbToMap(recovered.get()), live);
+}
+
+// Without a streamer the in-memory log is the only command log: however
+// many checkpoints register, nothing is dropped and PersistTo still
+// writes the log from LSN 0.
+TEST(StreamedRecoveryTest, NonStreamingLogKeepsEverything) {
+  TempDir dir;
+  MicrobenchConfig config;
+  config.num_records = 200;
+  config.value_size = 32;
+  config.ops_per_txn = 3;
+
+  Options options;
+  options.max_records = 512;
+  options.algorithm = CheckpointAlgorithm::kCalc;
+  options.checkpoint_dir = dir.path() + "/ckpt";
+  options.disk_bytes_per_sec = 0;
+
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(options, &db).ok());
+  ASSERT_TRUE(SetupMicrobench(db.get(), config).ok());
+  ASSERT_TRUE(db->Start().ok());
+  MicrobenchWorkload workload(config);
+  Rng rng(3);
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    for (uint32_t i = 0; i < 2 * CommitLog::kChunkSlots; ++i) {
+      TxnRequest req = workload.Next(rng);
+      ASSERT_TRUE(
+          db->executor()->Execute(req.proc_id, std::move(req.args), 0).ok());
+    }
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  const CommitLog* log = db->commit_log();
+  EXPECT_EQ(log->FirstRetainedLsn(), 0u);
+  EXPECT_EQ(log->RetainedEntries(), log->Size());
+  const std::string path = dir.path() + "/persisted";
+  ASSERT_TRUE(log->PersistTo(path).ok());
+  CommitLog loaded;
+  ASSERT_TRUE(loaded.LoadFrom(path).ok());
+  ASSERT_EQ(loaded.Size(), log->Size());
+  EXPECT_EQ(loaded.CommitCount(), log->CommitCount());
+  LogEntry first = loaded.Entry(0), want = log->Entry(0);
+  EXPECT_EQ(first.type, want.type);
+  EXPECT_EQ(first.args, want.args);
 }
 
 }  // namespace
