@@ -1,8 +1,10 @@
-// Component microbenchmarks (google-benchmark): storage primitives, the
-// lock manager, dirty-key tracker variants (the paper's §2.3 ablation:
-// bit vector vs hash table vs Bloom filter), value pool vs malloc,
-// checkpoint file writing, the commit-log append path (alone and
-// contended under a live streamer), and command-log generation decoding.
+// Component microbenchmarks (google-benchmark): storage primitives and
+// footprint-prefetched lookups, the lock manager, dirty-key tracker
+// variants (the paper's §2.3 ablation: bit vector vs hash table vs Bloom
+// filter), value pool vs malloc (one and three threads), contended
+// histogram recording, checkpoint file writing, the commit-log append
+// path (alone and contended under a live streamer), and command-log
+// generation decoding.
 
 #include <benchmark/benchmark.h>
 
@@ -21,10 +23,12 @@
 #include "log/commit_log.h"
 #include "log/log_reader.h"
 #include "storage/kv_store.h"
+#include "storage/sharded_store.h"
 #include "storage/value.h"
 #include "txn/lock_manager.h"
 #include "util/bitvec.h"
 #include "util/crc32.h"
+#include "util/histogram.h"
 #include "util/latch.h"
 #include "util/rng.h"
 
@@ -67,17 +71,67 @@ void BM_ValueCreateMalloc(benchmark::State& state) {
 BENCHMARK(BM_ValueCreateMalloc)->Arg(100)->Arg(1000);
 
 void BM_ValueCreatePooled(benchmark::State& state) {
-  // The paper's §5.1.6 optimization: recycle stable-record blocks.
-  ValuePool pool;
+  // The paper's §5.1.6 optimization: recycle stable-record blocks. With
+  // several threads they share one pool, as a database's workers do.
+  static std::unique_ptr<ValuePool> pool;
+  if (state.thread_index() == 0) pool = std::make_unique<ValuePool>();
   std::string payload(static_cast<size_t>(state.range(0)), 'p');
   for (auto _ : state) {
-    Value* v = Value::Create(payload, &pool);
+    Value* v = Value::Create(payload, pool.get());
     benchmark::DoNotOptimize(v);
     Value::Unref(v);
   }
   state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) pool.reset();
 }
 BENCHMARK(BM_ValueCreatePooled)->Arg(100)->Arg(1000);
+BENCHMARK(BM_ValueCreatePooled)->Arg(100)->Threads(3)->UseRealTime();
+
+/// One registry histogram recorded by three threads at once: the
+/// per-lookup calcdb.storage.probe_len pattern of micro_ckpt's workers.
+void BM_HistogramRecord(benchmark::State& state) {
+  static std::unique_ptr<Histogram> hist;
+  if (state.thread_index() == 0) hist = std::make_unique<Histogram>();
+  int64_t v = state.thread_index();
+  for (auto _ : state) {
+    hist->Record(v);
+    v = (v + 1) & 3;
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) hist.reset();
+}
+BENCHMARK(BM_HistogramRecord)->Threads(3)->UseRealTime();
+
+/// Ten random lookups over 500 K 100 B records (the micro_ckpt store),
+/// each reading its live value the way a transaction's read does; arg 1
+/// first prefetches the ten-key footprint (ShardedStore::Prefetch; the
+/// benchmark thread is the store's only user, so it owns every key).
+void BM_StoreLookup(benchmark::State& state) {
+  constexpr uint64_t kRecords = 500000;
+  static ValuePool pool;
+  static ShardedStore* store = [] {
+    auto* s = new ShardedStore(kRecords, 1, &pool);
+    std::string value(100, 'v');
+    for (uint64_t k = 0; k < kRecords; ++k) s->Put(k, value).ok();
+    return s;
+  }();
+  const bool prefetch = state.range(0) != 0;
+  Rng rng(5);
+  uint64_t keys[10];
+  char sink = 0;
+  for (auto _ : state) {
+    for (uint64_t& k : keys) k = rng.Uniform(kRecords);
+    if (prefetch) store->Prefetch(keys, 10);
+    for (uint64_t k : keys) {
+      Record* rec = store->Find(k);
+      std::string_view data = rec->live->data();
+      sink ^= data[0] ^ data[data.size() - 1];
+    }
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() * 10);
+}
+BENCHMARK(BM_StoreLookup)->Arg(0)->Arg(1);
 
 void BM_LockManagerAcquireRelease(benchmark::State& state) {
   LockManager lm(1 << 16);

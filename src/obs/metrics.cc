@@ -30,16 +30,6 @@ std::string FormatUint(uint64_t v) {
 
 }  // namespace
 
-unsigned ShardedCounter::ShardIndex() {
-  // A process-wide ticket assigns each thread a stable shard. Threads
-  // cycle through shards round-robin, so up to kShards concurrent
-  // writers land on distinct cache lines.
-  static std::atomic<unsigned> next_id{0};
-  thread_local unsigned id =
-      next_id.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return id;
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;

@@ -11,6 +11,7 @@
 
 #include "util/histogram.h"
 #include "util/latch.h"
+#include "util/thread_slot.h"
 
 namespace calcdb {
 namespace obs {
@@ -18,9 +19,11 @@ namespace obs {
 /// A counter sharded across cache lines so that concurrent hot-path
 /// increments from different threads do not bounce a single line.
 ///
-/// Each thread hashes to one of kShards cache-line-aligned slots and the
-/// increment is a single relaxed fetch_add on that slot. Sum() folds the
-/// shards; it is O(kShards) and intended for snapshot paths only.
+/// Each thread adds into its own cache-line-aligned slot
+/// (util/thread_slot.h): a relaxed load and store while the thread owns
+/// the slot, a relaxed fetch_add on the shared overflow slot otherwise.
+/// Sum() folds the slots; it is O(kThreadSlots) and intended for snapshot
+/// paths only.
 class ShardedCounter {
  public:
   ShardedCounter() = default;
@@ -28,7 +31,8 @@ class ShardedCounter {
   ShardedCounter& operator=(const ShardedCounter&) = delete;
 
   void Add(uint64_t n) {
-    shards_[ShardIndex()].v.fetch_add(n, std::memory_order_relaxed);
+    unsigned slot = ThisThreadSlot();
+    SlotAdd(shards_[slot].v, n, slot);
   }
 
   uint64_t Sum() const {
@@ -39,22 +43,19 @@ class ShardedCounter {
     return total;
   }
 
-  /// Zeroes every shard. Concurrent Add() calls may survive the reset;
-  /// this is a test/diagnostic affordance, not a synchronization point.
+  /// Zeroes every shard. An Add() racing the reset may survive it or
+  /// undo it for its own slot; this is a test/diagnostic affordance, not
+  /// a synchronization point.
   void Reset() {
     for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
   }
 
  private:
-  static constexpr int kShards = 16;
-
   struct alignas(64) Shard {
     std::atomic<uint64_t> v{0};
   };
 
-  static unsigned ShardIndex();
-
-  Shard shards_[kShards];
+  Shard shards_[kThreadSlots + 1];
 };
 
 /// A point-in-time signed value (e.g. bytes currently resident).

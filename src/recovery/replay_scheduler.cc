@@ -64,8 +64,25 @@ void ReplayScheduler::CountReplayed(const LogEntry& entry) {
 
 Status ReplayScheduler::SerialReplay(const std::vector<LogEntry>& commits,
                                      RecoveryStats* stats) {
-  for (const LogEntry& entry : commits) {
-    CALCDB_RETURN_NOT_OK(executor_->Replay(entry.proc_id, entry.args));
+  if (commits.empty()) return Status::OK();
+  // Lookahead: command i+1's footprint is computed and prefetched before
+  // command i runs, so its misses overlap command i's work. Each
+  // footprint is computed once and handed to Replay.
+  KeySets sets, next_sets;
+  Status next = Executor::ExtractFootprint(*registry_, commits[0].proc_id,
+                                           commits[0].args, &next_sets);
+  for (size_t i = 0; i < commits.size(); ++i) {
+    CALCDB_RETURN_NOT_OK(next);
+    std::swap(sets, next_sets);
+    if (i + 1 < commits.size()) {
+      // An error here surfaces only after command i has run, so a failed
+      // replay leaves exactly the prefix strict one-by-one replay would.
+      next = Executor::ExtractFootprint(*registry_, commits[i + 1].proc_id,
+                                        commits[i + 1].args, &next_sets);
+      if (next.ok()) Executor::PrefetchFootprint(*engine_.store, next_sets);
+    }
+    const LogEntry& entry = commits[i];
+    CALCDB_RETURN_NOT_OK(executor_->Replay(entry.proc_id, entry.args, sets));
     ++stats->txns_replayed;
     CountReplayed(entry);
   }
@@ -91,7 +108,8 @@ bool ReplayScheduler::RunCommand(const Task& task) {
   }
   bool executed = false;
   if (!failed_.load(std::memory_order_acquire)) {
-    Status st = executor_->Replay(task.entry->proc_id, task.entry->args);
+    Status st = executor_->Replay(task.entry->proc_id, task.entry->args,
+                                  task.sets);
     if (st.ok()) {
       CountReplayed(*task.entry);
       executed = true;
@@ -177,7 +195,7 @@ Status ReplayScheduler::Replay(const std::vector<LogEntry>& commits,
                   "undeclared footprint forces serial replay",
                   {"proc_id", static_cast<int64_t>(entry.proc_id)},
                   {"fallbacks", static_cast<int64_t>(serial_fallbacks_)});
-      Status st = executor_->Replay(entry.proc_id, entry.args);
+      Status st = executor_->Replay(entry.proc_id, entry.args, sets);
       if (!st.ok()) {
         dispatch_error = st;
         break;
@@ -200,6 +218,9 @@ Status ReplayScheduler::Replay(const std::vector<LogEntry>& commits,
       conflicting |= last_[slot] != 0;
       last_[slot] = task.seq;
     }
+    // The worker replays with this footprint rather than recomputing it;
+    // ExtractFootprint refills `sets` for the next command.
+    task.sets = std::move(sets);
     if (conflicting) {
       // Deterministic (schedule-independent): this command's footprint
       // intersects an earlier command's, so tickets order it rather

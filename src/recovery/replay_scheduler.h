@@ -107,6 +107,8 @@ class ReplayScheduler {
     /// One entry per distinct footprint slot: the wait precondition,
     /// and the slots to publish `seq` to after retiring.
     std::vector<TicketDep> deps;
+    /// The command's footprint, computed once by the dispatcher.
+    KeySets sets;
   };
 
   Status SerialReplay(const std::vector<LogEntry>& commits,

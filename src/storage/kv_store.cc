@@ -8,13 +8,6 @@ namespace calcdb {
 
 namespace {
 
-uint64_t HashKey(uint64_t key) {
-  // Fibonacci-style mix; keys in workloads are often sequential.
-  uint64_t x = key * 0x9e3779b97f4a7c15ULL;
-  x ^= x >> 32;
-  return x;
-}
-
 size_t NextPow2(uint64_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;

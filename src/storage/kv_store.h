@@ -50,6 +50,17 @@ class KVStore {
   /// store is at max_records capacity.
   Record* FindOrCreate(uint64_t key);
 
+  /// The bucket-chain head slot `key` hashes to, and the chain walk that
+  /// Find() runs from it: exposed so ShardedStore::Prefetch can stage a
+  /// whole key list's lookups in overlapped rounds.
+  const std::atomic<Record*>* BucketFor(uint64_t key) const {
+    return &buckets_[HashKey(key) & bucket_mask_];
+  }
+  static Record* FindInChain(Record* head, uint64_t key) {
+    while (head != nullptr && head->key != key) head = head->next;
+    return head;
+  }
+
   /// Record by dense index, in [0, NumSlots()).
   Record* ByIndex(uint32_t index) const;
 
@@ -99,6 +110,13 @@ class KVStore {
  private:
   static constexpr size_t kChunkShift = 16;  // 64K records per arena chunk
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
+
+  static uint64_t HashKey(uint64_t key) {
+    // Fibonacci-style mix; keys in workloads are often sequential.
+    uint64_t x = key * 0x9e3779b97f4a7c15ULL;
+    x ^= x >> 32;
+    return x;
+  }
 
   Record* AllocateRecord(uint64_t key);
 

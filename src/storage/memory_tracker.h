@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdint>
 
+#include "util/thread_slot.h"
+
 namespace calcdb {
 
 /// Process-wide accounting of record-storage memory.
@@ -15,6 +17,12 @@ namespace calcdb {
 /// counts memory parked in the value pool's freelists (allocated from the
 /// OS but not holding a record). The sum is the process's record-storage
 /// footprint.
+///
+/// Every value allocation and free moves these counters, so they are kept
+/// per thread: each thread adds into its own cache-line-aligned slot
+/// (util/thread_slot.h) and the getters sum the slots. A slot may go
+/// negative (a block allocated on one thread and freed on another); the
+/// sums are exact.
 class MemoryTracker {
  public:
   static MemoryTracker& Global() {
@@ -23,31 +31,48 @@ class MemoryTracker {
   }
 
   void AddValueBytes(int64_t n) {
-    value_bytes_.fetch_add(n, std::memory_order_relaxed);
+    unsigned slot = ThisThreadSlot();
+    SlotAdd(slots_[slot].value_bytes, n, slot);
   }
   void AddPoolBytes(int64_t n) {
-    pool_bytes_.fetch_add(n, std::memory_order_relaxed);
+    unsigned slot = ThisThreadSlot();
+    SlotAdd(slots_[slot].pool_bytes, n, slot);
   }
 
   int64_t value_bytes() const {
-    return value_bytes_.load(std::memory_order_relaxed);
+    int64_t n = 0;
+    for (const Slot& s : slots_) {
+      n += s.value_bytes.load(std::memory_order_relaxed);
+    }
+    return n;
   }
   int64_t pool_bytes() const {
-    return pool_bytes_.load(std::memory_order_relaxed);
+    int64_t n = 0;
+    for (const Slot& s : slots_) {
+      n += s.pool_bytes.load(std::memory_order_relaxed);
+    }
+    return n;
   }
   int64_t total_bytes() const { return value_bytes() + pool_bytes(); }
 
-  /// Resets counters to zero (benchmark harness, between configurations).
+  /// Resets every slot to zero (benchmark harness, between
+  /// configurations; exact only while no thread allocates or frees).
   void Reset() {
-    value_bytes_.store(0, std::memory_order_relaxed);
-    pool_bytes_.store(0, std::memory_order_relaxed);
+    for (Slot& s : slots_) {
+      s.value_bytes.store(0, std::memory_order_relaxed);
+      s.pool_bytes.store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
+  struct alignas(64) Slot {
+    std::atomic<int64_t> value_bytes{0};
+    std::atomic<int64_t> pool_bytes{0};
+  };
+
   MemoryTracker() = default;
 
-  std::atomic<int64_t> value_bytes_{0};
-  std::atomic<int64_t> pool_bytes_{0};
+  Slot slots_[kThreadSlots + 1];
 };
 
 }  // namespace calcdb

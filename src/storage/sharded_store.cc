@@ -1,5 +1,6 @@
 #include "storage/sharded_store.h"
 
+#include <atomic>
 #include <cstdlib>
 
 namespace calcdb {
@@ -51,6 +52,32 @@ Record* ShardedStore::FindOrCreate(uint64_t key) {
   if (rec != nullptr) return rec;
   if (TotalSlots() >= max_records_) return nullptr;
   return s->FindOrCreate(key);
+}
+
+void ShardedStore::Prefetch(const uint64_t* keys, size_t n) const {
+  if (n > kMaxPrefetchKeys) n = kMaxPrefetchKeys;
+  const std::atomic<Record*>* slots[kMaxPrefetchKeys];
+  Record* heads[kMaxPrefetchKeys];
+  for (size_t i = 0; i < n; ++i) {
+    slots[i] = shards_[ShardOf(keys[i])]->BucketFor(keys[i]);
+    __builtin_prefetch(slots[i]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    heads[i] = slots[i]->load(std::memory_order_acquire);
+    if (heads[i] != nullptr) {
+      // A Record may straddle two lines; touch both ends.
+      __builtin_prefetch(heads[i]);
+      __builtin_prefetch(reinterpret_cast<const char*>(heads[i] + 1) - 1);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    Record* rec = KVStore::FindInChain(heads[i], keys[i]);
+    if (rec == nullptr) continue;
+    const Value* v = rec->live;
+    if (!Record::IsRealValue(v)) continue;
+    __builtin_prefetch(v);
+    __builtin_prefetch(reinterpret_cast<const char*>(v) + 64);
+  }
 }
 
 uint64_t ShardedStore::TotalSlots() const {

@@ -64,6 +64,25 @@ class ShardedStore {
     return shards_[ShardOf(key)]->Find(key);
   }
 
+  /// Most keys one Prefetch() call stages. A footprint's first keys are
+  /// prefetched and the rest are left to demand misses, so a bulk
+  /// footprint (a 1000-key batch write) cannot flush L1 with lines it
+  /// would only evict again before use.
+  static constexpr size_t kMaxPrefetchKeys = 32;
+
+  /// Pulls the lookup path of up to kMaxPrefetchKeys `keys` towards the
+  /// cache in three overlapped rounds instead of one serial miss chain
+  /// per key: every key's bucket slot, then every chain head record, then
+  /// every found record's live Value block (two lines). A hint only:
+  /// nothing is modified and no probe_len is recorded.
+  ///
+  /// The last round reads Record::live without the record latch, so the
+  /// caller must own every key against live writers: hold its stripe
+  /// lock (Executor::Execute, after AcquireAll) or its replay footprint
+  /// ticket (Executor::Replay). Every live writer goes through
+  /// ReplaceLive under those same locks or tickets.
+  void Prefetch(const uint64_t* keys, size_t n) const;
+
   /// Null only when the owning shard is at capacity or the global
   /// max_records bound is reached.
   Record* FindOrCreate(uint64_t key);

@@ -5,6 +5,7 @@
 
 #include "obs/obs.h"
 #include "storage/memory_tracker.h"
+#include "util/thread_slot.h"
 
 namespace calcdb {
 
@@ -55,17 +56,20 @@ ValuePool::ValuePool() = default;
 ValuePool::~ValuePool() {
   // Teardown is single-threaded, but latching keeps the GUARDED_BY
   // contract uniform (and is free without contention).
-  for (auto& cls : classes_) {
-    SpinLatchGuard guard(cls.latch);
-    FreeNode* node = cls.head;
-    while (node != nullptr) {
-      FreeNode* next = node->next;
-      MemoryTracker::Global().AddPoolBytes(
-          -static_cast<int64_t>(node->alloc_size));
-      std::free(node);
-      node = next;
+  for (auto& stripe : lists_) {
+    for (FreeList& list : stripe) {
+      SpinLatchGuard guard(list.latch);
+      FreeNode* node = list.head;
+      while (node != nullptr) {
+        FreeNode* next = node->next;
+        MemoryTracker::Global().AddPoolBytes(
+            -static_cast<int64_t>(node->alloc_size));
+        std::free(node);
+        node = next;
+      }
+      list.head = nullptr;
+      list.nonempty.store(false, std::memory_order_relaxed);
     }
-    cls.head = nullptr;
   }
 }
 
@@ -78,6 +82,16 @@ int ValuePool::ClassFor(size_t bytes) {
   return -1;  // too large for the pool
 }
 
+ValuePool::FreeNode* ValuePool::TryPop(FreeList& list) {
+  if (!list.nonempty.load(std::memory_order_relaxed)) return nullptr;
+  SpinLatchGuard guard(list.latch);
+  FreeNode* node = list.head;
+  if (node == nullptr) return nullptr;
+  list.head = node->next;
+  list.nonempty.store(list.head != nullptr, std::memory_order_relaxed);
+  return node;
+}
+
 void* ValuePool::Allocate(size_t bytes, uint32_t* alloc_size) {
   int cls = ClassFor(bytes);
   if (cls < 0) {
@@ -87,12 +101,11 @@ void* ValuePool::Allocate(size_t bytes, uint32_t* alloc_size) {
     return std::malloc(bytes);
   }
   *alloc_size = static_cast<uint32_t>(ClassBytes(cls));
-  SizeClass& sc = classes_[cls];
-  {
-    SpinLatchGuard guard(sc.latch);
-    if (sc.head != nullptr) {
-      FreeNode* node = sc.head;
-      sc.head = node->next;
+  // Own stripe first, then steal round-robin from the others.
+  const unsigned home = ThisThreadSlot() % kStripes;
+  for (unsigned i = 0; i < kStripes; ++i) {
+    FreeNode* node = TryPop(lists_[(home + i) % kStripes][cls]);
+    if (node != nullptr) {
       // Block moves from parked (pool) to in-use (value) accounting.
       MemoryTracker::Global().AddPoolBytes(
           -static_cast<int64_t>(*alloc_size));
@@ -119,20 +132,21 @@ void ValuePool::Release(void* block, uint32_t alloc_size) {
   MemoryTracker::Global().AddPoolBytes(static_cast<int64_t>(alloc_size));
   auto* node = static_cast<FreeNode*>(block);
   node->alloc_size = alloc_size;
-  SizeClass& sc = classes_[cls];
-  SpinLatchGuard guard(sc.latch);
-  node->next = sc.head;
-  sc.head = node;
+  FreeList& list = lists_[ThisThreadSlot() % kStripes][cls];
+  SpinLatchGuard guard(list.latch);
+  node->next = list.head;
+  list.head = node;
+  list.nonempty.store(true, std::memory_order_relaxed);
 }
 
 size_t ValuePool::FreeBlocks() const {
   size_t n = 0;
-  for (const auto& cls : classes_) {
-    SpinLatchGuard guard(cls.latch);
-    FreeNode* node = cls.head;
-    while (node != nullptr) {
-      ++n;
-      node = node->next;
+  for (const auto& stripe : lists_) {
+    for (const FreeList& list : stripe) {
+      SpinLatchGuard guard(list.latch);
+      for (FreeNode* node = list.head; node != nullptr; node = node->next) {
+        ++n;
+      }
     }
   }
   return n;

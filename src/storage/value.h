@@ -72,12 +72,23 @@ class Value {
   ValuePool* pool_;      // null if malloc'd
 };
 
-/// A freelist-based recycler for Value blocks, sharded into size classes.
+/// A freelist-based recycler for Value blocks, sharded into size classes
+/// and per-thread stripes.
 ///
 /// Avoids the allocate/free churn of stable-version installation during
 /// checkpoints (paper §5.1.6). Blocks are never returned to the OS while
 /// the pool lives; MemoryTracker::pool_bytes reports parked capacity, which
 /// is why CALC's practical memory profile is flat at its peak requirement.
+///
+/// Each thread works on one stripe of per-class freelists (its
+/// util/thread_slot.h slot modulo kStripes), each freelist on its own
+/// cache line. Release pushes onto the caller's stripe; Allocate pops
+/// from it and, when it is empty, steals from the other stripes before
+/// falling back to malloc, so a block freed on one thread still serves an
+/// allocation on another. Every freelist carries a relaxed non-empty hint
+/// written under its latch: Allocate latches only freelists whose hint is
+/// set, so a miss on an empty pool (the bulk-load path) costs a handful
+/// of unlatched reads of lines nobody writes.
 class ValuePool {
  public:
   ValuePool();
@@ -89,10 +100,10 @@ class ValuePool {
   /// Allocates a block of at least `bytes`; returns block and its size.
   void* Allocate(size_t bytes, uint32_t* alloc_size);
 
-  /// Returns a block of `alloc_size` bytes to the freelist.
+  /// Returns a block of `alloc_size` bytes to the caller's freelist.
   void Release(void* block, uint32_t alloc_size);
 
-  /// Number of blocks currently parked across all freelists.
+  /// Number of blocks currently parked across all stripes and classes.
   size_t FreeBlocks() const;
 
  private:
@@ -100,19 +111,25 @@ class ValuePool {
     FreeNode* next;
     uint32_t alloc_size;
   };
-  struct alignas(64) SizeClass {
+  struct alignas(64) FreeList {
     // Mutable so const traversals (FreeBlocks) can latch without casts.
     mutable SpinLatch latch;
     FreeNode* head CALCDB_GUARDED_BY(latch) = nullptr;
+    /// head != nullptr as of the last latched update. A stale hint only
+    /// costs a wasted latch or an avoidable malloc, never correctness.
+    std::atomic<bool> nonempty{false};
   };
 
   static constexpr int kNumClasses = 9;  // 32, 64, 128, ... 8192 bytes
   static constexpr size_t kMinClassBytes = 32;
+  static constexpr unsigned kStripes = 8;
 
   static int ClassFor(size_t bytes);
   static size_t ClassBytes(int cls) { return kMinClassBytes << cls; }
+  /// Pops one block if the freelist's hint says it has any.
+  static FreeNode* TryPop(FreeList& list);
 
-  SizeClass classes_[kNumClasses];
+  FreeList lists_[kStripes][kNumClasses];
 };
 
 /// RAII handle to a Value.

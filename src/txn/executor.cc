@@ -63,6 +63,7 @@ Status Executor::Execute(uint32_t proc_id, std::string args,
   lock_manager_->AcquireAll(locks);
   CALCDB_HISTOGRAM_RECORD("calcdb.txn.lock_wait_us",
                           NowMicros() - lock_wait_start_us);
+  PrefetchFootprint(*engine_.store, sets);
 
   // 4. Run procedure logic against the buffering context.
   TxnContext ctx(engine_.store, checkpointer_, &txn, &sets);
@@ -155,6 +156,20 @@ Status Executor::Execute(uint32_t proc_id, std::string args,
   return st;
 }
 
+void Executor::PrefetchFootprint(const ShardedStore& store,
+                                 const KeySets& sets) {
+  uint64_t keys[ShardedStore::kMaxPrefetchKeys];
+  size_t n = 0;
+  for (const std::vector<uint64_t>* list :
+       {&sets.write_keys, &sets.read_keys}) {
+    for (size_t i = 0;
+         i < list->size() && n < ShardedStore::kMaxPrefetchKeys; ++i) {
+      keys[n++] = (*list)[i];
+    }
+  }
+  store.Prefetch(keys, n);
+}
+
 Status Executor::ExtractFootprint(const ProcedureRegistry& registry,
                                   uint32_t proc_id, std::string_view args,
                                   KeySets* sets) {
@@ -169,17 +184,17 @@ Status Executor::ExtractFootprint(const ProcedureRegistry& registry,
   return Status::OK();
 }
 
-Status Executor::Replay(uint32_t proc_id, std::string_view args) {
+Status Executor::Replay(uint32_t proc_id, std::string_view args,
+                        const KeySets& sets) {
   const StoredProcedure* proc = registry_->Find(proc_id);
   if (proc == nullptr) {
     return Status::InvalidArgument("unknown procedure id in replay");
   }
   Txn txn;
   txn.proc_id = proc_id;
-  KeySets sets;
-  proc->GetKeys(args, &sets);
-  // No locks: replay is serial. No checkpointer hooks: writes land
-  // directly in the store.
+  PrefetchFootprint(*engine_.store, sets);
+  // No locks: replay is serial (or ticket-ordered). No checkpointer
+  // hooks: writes land directly in the store.
   NoCheckpointer direct(engine_);
   TxnContext ctx(engine_.store, &direct, &txn, &sets);
   CALCDB_RETURN_NOT_OK(proc->Run(ctx, args));

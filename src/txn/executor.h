@@ -6,6 +6,7 @@
 #include <string>
 
 #include "checkpoint/checkpointer.h"
+#include "storage/sharded_store.h"
 #include "txn/lock_manager.h"
 #include "txn/procedure.h"
 #include "txn/txn.h"
@@ -20,6 +21,7 @@ namespace calcdb {
 ///   1. admission (blocks if the checkpointer has closed the gate),
 ///   2. register with the PhaseController (txn.start_phase := current),
 ///   3. acquire all stripe locks in canonical order (deadlock-free 2PL),
+///      then prefetch the declared footprint (PrefetchFootprint),
 ///   4. run the stored procedure against a buffering TxnContext,
 ///   5. apply the buffered writes through the checkpointer's write hook,
 ///   6. atomically append the commit token (capturing commit phase),
@@ -48,12 +50,15 @@ class Executor {
                  Txn* txn_out = nullptr);
 
   /// Replays an already-committed command without checkpointer hooks or
-  /// commit logging — the recovery path (paper §3.1). Must not run
+  /// commit logging — the recovery path (paper §3.1). `sets` is the
+  /// command's footprint as ExtractFootprint computed it (the caller has
+  /// it already: the scheduler orders commands by it). Must not run
   /// concurrently with normal execution. Concurrent Replay calls are
   /// permitted ONLY when the caller guarantees that their key footprints
   /// are disjoint (the ReplayScheduler's ticket rule); this path takes
   /// no locks of its own.
-  Status Replay(uint32_t proc_id, std::string_view args);
+  Status Replay(uint32_t proc_id, std::string_view args,
+                const KeySets& sets);
 
   /// Computes a command's declared key footprint without acquiring any
   /// locks or touching the store: a registry lookup plus GetKeys, which
@@ -64,6 +69,14 @@ class Executor {
   [[nodiscard]] static Status ExtractFootprint(
       const ProcedureRegistry& registry, uint32_t proc_id,
       std::string_view args, KeySets* sets);
+
+  /// ShardedStore::Prefetch over a footprint's declared keys, write keys
+  /// first. The caller must own every key against live writers (see
+  /// ShardedStore::Prefetch): Execute calls it holding the stripe locks,
+  /// Replay holding the footprint ticket, and serial replay for the next
+  /// command before running the current one on the same thread.
+  static void PrefetchFootprint(const ShardedStore& store,
+                                const KeySets& sets);
 
   uint64_t committed() const {
     return committed_.load(std::memory_order_relaxed);

@@ -47,18 +47,20 @@ LockManager::LockSet LockManager::Resolve(const KeySets& sets) const {
     out.push_back(ResolveKey(k, false));
   }
   std::sort(out.begin(), out.end());
-  // Deduplicate stripes; exclusive wins. Writes sort before reads within a
-  // stripe only by construction order, so merge modes explicitly.
-  LockSet dedup;
-  for (const StripeLock& sl : out) {
-    if (!dedup.empty() && dedup.back().shard == sl.shard &&
-        dedup.back().stripe == sl.stripe) {
-      dedup.back().exclusive |= sl.exclusive;
+  // Deduplicate stripes in place; exclusive wins. Writes sort before
+  // reads within a stripe only by construction order, so merge modes
+  // explicitly.
+  size_t kept = 0;
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (kept > 0 && out[kept - 1].shard == out[i].shard &&
+        out[kept - 1].stripe == out[i].stripe) {
+      out[kept - 1].exclusive |= out[i].exclusive;
     } else {
-      dedup.push_back(sl);
+      out[kept++] = out[i];
     }
   }
-  return dedup;
+  out.resize(kept);
+  return out;
 }
 
 void LockManager::AcquireAll(const LockSet& set)

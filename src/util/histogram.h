@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/thread_slot.h"
+
 namespace calcdb {
 
 /// A lock-free latency histogram with logarithmic buckets.
@@ -14,33 +16,35 @@ namespace calcdb {
 /// ~4.6% relative resolution (16 sub-buckets per power of two), which is
 /// plenty for the paper's CDF plots (Figure 5) that span 1ms..100s on a log
 /// axis.
+///
+/// Recording is per-thread: each thread adds into the shard of its
+/// util/thread_slot.h slot (allocated on the slot's first Record) with
+/// plain relaxed loads and stores, so concurrent recorders never write a
+/// shared line or pay for a locked add. Every reader folds the shards;
+/// the fold is exact once recorders are quiet, and a racing Record may or
+/// may not be included. A histogram costs kThreadSlots + 1 pointers plus
+/// one ~8 KiB shard per slot that has recorded.
 class Histogram {
  public:
-  Histogram() : buckets_(kNumBuckets) {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  }
+  Histogram() = default;
+  ~Histogram();
 
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
   void Record(int64_t value_us) {
     if (value_us < 0) value_us = 0;
-    buckets_[BucketFor(static_cast<uint64_t>(value_us))].fetch_add(
-        1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(static_cast<uint64_t>(value_us),
-                   std::memory_order_relaxed);
+    uint64_t v = static_cast<uint64_t>(value_us);
+    unsigned slot = ThisThreadSlot();
+    Shard* s = ShardFor(slot);
+    SlotAdd(s->buckets[BucketFor(v)], uint64_t{1}, slot);
+    SlotAdd(s->count, uint64_t{1}, slot);
+    SlotAdd(s->sum, v, slot);
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  uint64_t count() const;
 
-  double MeanUs() const {
-    uint64_t c = count();
-    return c == 0 ? 0.0
-                  : static_cast<double>(
-                        sum_.load(std::memory_order_relaxed)) /
-                        static_cast<double>(c);
-  }
+  double MeanUs() const;
 
   /// Latency (us) at the given quantile in [0,1].
   int64_t PercentileUs(double q) const;
@@ -55,31 +59,30 @@ class Histogram {
   /// exact, since both share the same bucket layout). Safe against
   /// concurrent Record() on either side, though a racing Record may or
   /// may not be included.
-  void Merge(const Histogram& other) {
-    for (int i = 0; i < kNumBuckets; ++i) {
-      uint64_t n = other.buckets_[static_cast<size_t>(i)].load(
-          std::memory_order_relaxed);
-      if (n != 0) {
-        buckets_[static_cast<size_t>(i)].fetch_add(
-            n, std::memory_order_relaxed);
-      }
-    }
-    count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  }
+  void Merge(const Histogram& other);
 
-  void Reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-  }
+  /// Zeroes every shard; exact only while no thread records.
+  void Reset();
 
  private:
   // 64 powers of two x 16 sub-buckets.
   static constexpr int kSubBucketBits = 4;
   static constexpr int kNumBuckets = 64 << kSubBucketBits;
+
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> buckets[kNumBuckets];
+    std::atomic<uint64_t> count;
+    std::atomic<uint64_t> sum;
+  };
+
+  /// Every shard folded into one bucket array. `count` is the bucket
+  /// total, so quantile scans stay consistent with the buckets they walk
+  /// even while recorders race the fold.
+  struct Folded {
+    std::vector<uint64_t> buckets;
+    uint64_t count = 0;
+    uint64_t sum = 0;
+  };
 
   static int BucketFor(uint64_t v) {
     if (v < (1u << kSubBucketBits)) return static_cast<int>(v);
@@ -99,9 +102,14 @@ class Histogram {
            (static_cast<uint64_t>(sub) << (log2 - kSubBucketBits));
   }
 
-  std::vector<std::atomic<uint64_t>> buckets_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
+  Shard* ShardFor(unsigned slot) {
+    Shard* s = shards_[slot].load(std::memory_order_acquire);
+    return s != nullptr ? s : InstallShard(shards_[slot]);
+  }
+  Shard* InstallShard(std::atomic<Shard*>& slot);
+  Folded Fold() const;
+
+  std::atomic<Shard*> shards_[kThreadSlots + 1] = {};
 };
 
 }  // namespace calcdb

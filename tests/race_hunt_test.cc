@@ -11,6 +11,8 @@
 //  R3. Value Ref/Unref storms over the pooled allocator: final readers
 //      racing the freeing thread is exactly what the acq_rel decrement
 //      ordering (value.h) must make safe.
+//  R3b. Value-pool stripes: blocks freed on a consumer thread must serve
+//      a producer's allocations through the cross-stripe steal.
 //  R4. Command-log "rotation": streamer stop/start onto fresh files while
 //      appenders and phase transitions keep hitting the commit log.
 //  R4b. Commit-log flush/truncate: three appenders and a phase-token
@@ -29,8 +31,11 @@
 // suite is meaningful — just far weaker — in plain builds.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +44,7 @@
 #include "log/command_log_streamer.h"
 #include "log/commit_log.h"
 #include "log/log_reader.h"
+#include "obs/obs.h"
 #include "recovery/recovery_manager.h"
 #include "storage/kv_store.h"
 #include "storage/value.h"
@@ -362,6 +368,81 @@ TEST(RaceHuntTest, ValueRefUnrefStormWithPool) {
   // Every block must have been freed into the pool: refcount accounting
   // lost nothing, leaked nothing.
   EXPECT_GT(pool.FreeBlocks(), 0u);
+}
+
+// R3b: the pool's per-thread stripes. A producer allocates, a consumer
+// reads and frees, so every block parks on the consumer's stripe and the
+// producer's allocations must steal it back across threads. TSan watches
+// the stripe latches and the unlatched non-empty hints; the end state
+// pins the accounting: the pool only ever mallocs the peak number of
+// blocks in flight, and FreeBlocks() finds all of them across stripes.
+TEST(RaceHuntTest, ValuePoolProducerConsumerSteal) {
+  ValuePool pool;
+  constexpr size_t kCapacity = 32;
+  const int kValues = ScaledIters(40000);
+  const std::string payload(100, 'p');
+#if CALCDB_OBS_ENABLED
+  obs::ShardedCounter* hits =
+      obs::MetricsRegistry::Global().GetCounter("calcdb.storage.pool_hit");
+  obs::ShardedCounter* misses =
+      obs::MetricsRegistry::Global().GetCounter("calcdb.storage.pool_miss");
+  const uint64_t hits_before = hits->Sum();
+  const uint64_t misses_before = misses->Sum();
+  uint64_t misses_at_half = 0;
+#endif
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Value*> queue;
+  bool done = false;
+  std::thread consumer([&] {
+    for (;;) {
+      Value* v = nullptr;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return done || !queue.empty(); });
+        if (queue.empty()) return;
+        v = queue.front();
+        queue.pop_front();
+      }
+      cv.notify_all();
+      EXPECT_EQ(v->data(), payload);
+      Value::Unref(v);  // parks the block on the consumer's stripe
+    }
+  });
+  for (int i = 0; i < kValues; ++i) {
+#if CALCDB_OBS_ENABLED
+    if (i == kValues / 2) misses_at_half = misses->Sum();
+#endif
+    Value* v = Value::Create(payload, &pool);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return queue.size() < kCapacity; });
+    queue.push_back(v);
+    lock.unlock();
+    cv.notify_all();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_all();
+  consumer.join();
+
+  // At most kCapacity queued, one being pushed and one being freed are
+  // ever live, so that many blocks (plus slack for a hint read just
+  // before a racing release) serve every allocation.
+  const size_t parked = pool.FreeBlocks();
+  EXPECT_GE(parked, 1u);
+  EXPECT_LE(parked, 2 * kCapacity);
+#if CALCDB_OBS_ENABLED
+  // Every malloc'd block is parked somewhere: the miss count equals the
+  // blocks FreeBlocks() finds across all stripes, and misses stop once
+  // the pool holds the in-flight peak.
+  EXPECT_EQ(misses->Sum() - misses_before, parked);
+  EXPECT_EQ(hits->Sum() - hits_before,
+            static_cast<uint64_t>(kValues) - parked);
+  EXPECT_LE(misses->Sum() - misses_at_half, kCapacity);
+#endif
 }
 
 // ---------------------------------------------------------------------------

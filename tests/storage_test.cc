@@ -54,6 +54,69 @@ TEST(ValueTest, MemoryTrackerAccountsAllocations) {
   EXPECT_EQ(MemoryTracker::Global().value_bytes(), 0);
 }
 
+// The tracker keeps per-thread slots; the getters must sum them exactly,
+// including when one thread gives back what another took (a block
+// allocated on one worker and freed on another).
+TEST(MemoryTrackerTest, PerThreadSlotsSumExactly) {
+  MemoryTracker& mem = MemoryTracker::Global();
+  mem.Reset();
+  constexpr int kThreads = 4;
+  constexpr int64_t kOps = 20000;
+  auto run = [&](int sign, bool cross) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Thread t's amounts; on the cross pass thread t undoes thread
+        // (t + 1)'s instead.
+        int64_t who = cross ? (t + 1) % kThreads : t;
+        for (int64_t i = 1; i <= kOps; ++i) {
+          mem.AddValueBytes(sign * (i + who));
+          mem.AddPoolBytes(sign * 2 * (i + who));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  };
+  run(+1, /*cross=*/false);
+  int64_t expected = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    expected += kOps * (kOps + 1) / 2 + kOps * t;
+  }
+  EXPECT_EQ(mem.value_bytes(), expected);
+  EXPECT_EQ(mem.pool_bytes(), 2 * expected);
+  EXPECT_EQ(mem.total_bytes(), 3 * expected);
+  run(-1, /*cross=*/true);
+  EXPECT_EQ(mem.value_bytes(), 0);
+  EXPECT_EQ(mem.pool_bytes(), 0);
+
+  // Reset zeroes every slot, not just the calling thread's.
+  run(+1, /*cross=*/false);
+  mem.Reset();
+  EXPECT_EQ(mem.value_bytes(), 0);
+  EXPECT_EQ(mem.pool_bytes(), 0);
+}
+
+// Blocks freed on one thread park on that thread's stripe; an allocation
+// on another thread must still find them (the steal) rather than malloc.
+TEST(ValuePoolTest, AllocateStealsBlocksFreedOnAnotherThread) {
+  ValuePool pool;
+  std::vector<Value*> values;
+  for (int i = 0; i < 8; ++i) {
+    values.push_back(Value::Create(std::string(100, 'x'), &pool));
+  }
+  std::thread([&] {
+    for (Value* v : values) Value::Unref(v);
+  }).join();
+  EXPECT_EQ(pool.FreeBlocks(), 8u);
+  values.clear();
+  for (int i = 0; i < 8; ++i) {
+    values.push_back(Value::Create(std::string(100, 'y'), &pool));
+  }
+  EXPECT_EQ(pool.FreeBlocks(), 0u);
+  for (Value* v : values) Value::Unref(v);
+  EXPECT_EQ(pool.FreeBlocks(), 8u);
+}
+
 TEST(ValuePoolTest, RecyclesBlocks) {
   MemoryTracker::Global().Reset();
   ValuePool pool;

@@ -156,8 +156,12 @@ StateMap ReplayGroundTruth(const CommitLog& log, uint64_t upto_lsn,
   for (uint64_t lsn = 0; lsn < upto_lsn && lsn < log.Size(); ++lsn) {
     LogEntry entry = log.Entry(lsn);
     if (entry.type != LogEntry::Type::kCommit) continue;
+    KeySets sets;
+    EXPECT_TRUE(Executor::ExtractFootprint(*db->registry(), entry.proc_id,
+                                           entry.args, &sets)
+                    .ok());
     EXPECT_TRUE(
-        db->executor()->Replay(entry.proc_id, entry.args).ok());
+        db->executor()->Replay(entry.proc_id, entry.args, sets).ok());
   }
   return DbToMap(db.get());
 }

@@ -348,6 +348,81 @@ TEST(HistogramTest, MergeOfDisjointRanges) {
   EXPECT_EQ(low.count(), before);
 }
 
+// Recording is sharded per thread and folded at read time; every reader
+// must see exactly what one histogram fed the same values on one thread
+// sees. 20 threads live at once exceed kThreadSlots, so some of them
+// share (and race to install) the overflow shard.
+TEST(HistogramTest, ShardedRecordMatchesSingleThreadedOracle) {
+  constexpr int kThreads = 20;
+  static_assert(kThreads > static_cast<int>(kThreadSlots));
+  constexpr int kPerThread = 5000;
+  auto value_of = [](int t, int i) -> int64_t {
+    return (static_cast<int64_t>(i) * 7919 +
+            static_cast<int64_t>(t) * 104729) %
+           250000;
+  };
+  Histogram sharded, oracle;
+  std::atomic<int> started{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // The first Record claims this thread's slot; hold it until every
+      // thread has one.
+      sharded.Record(value_of(t, 0));
+      started.fetch_add(1, std::memory_order_acq_rel);
+      while (started.load(std::memory_order_acquire) < kThreads) {
+        std::this_thread::yield();
+      }
+      for (int i = 1; i < kPerThread; ++i) sharded.Record(value_of(t, i));
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) oracle.Record(value_of(t, i));
+  }
+
+  auto expect_same = [](const Histogram& a, const Histogram& b) {
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.MeanUs(), b.MeanUs());
+    for (double q :
+         {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(a.PercentileUs(q), b.PercentileUs(q)) << "q=" << q;
+    }
+    std::vector<int64_t> at = {0, 10, 1000, 50000, 200000, 1000000};
+    EXPECT_EQ(a.CdfAt(at), b.CdfAt(at));
+    EXPECT_EQ(a.Summary(), b.Summary());
+  };
+  EXPECT_EQ(sharded.count(), uint64_t{kThreads} * kPerThread);
+  expect_same(sharded, oracle);
+
+  // Merge folds every shard of the donor.
+  Histogram merged_sharded, merged_oracle;
+  merged_sharded.Record(42);
+  merged_oracle.Record(42);
+  merged_sharded.Merge(sharded);
+  merged_oracle.Merge(oracle);
+  expect_same(merged_sharded, merged_oracle);
+  EXPECT_EQ(merged_sharded.count(), sharded.count() + 1);
+
+  // Reset zeroes every shard; shards stay installed and keep recording.
+  sharded.Reset();
+  EXPECT_EQ(sharded.count(), 0u);
+  EXPECT_EQ(sharded.PercentileUs(0.5), 0);
+  EXPECT_EQ(sharded.MeanUs(), 0.0);
+  Histogram fresh;
+  threads.clear();
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) sharded.Record(value_of(t, i));
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < 4; ++t) {
+    for (int i = 0; i < kPerThread; ++i) fresh.Record(value_of(t, i));
+  }
+  expect_same(sharded, fresh);
+}
+
 TEST(Crc32Test, KnownVector) {
   // CRC-32 of "123456789" is 0xCBF43926.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
