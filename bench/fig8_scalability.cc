@@ -2,7 +2,8 @@
 // database size.
 //   8(a) checkpoint duration vs database size
 //   8(b) total transactions lost vs database size
-//   8(c) [extension] capture duration vs capture_threads, unthrottled
+//   8(c) [extension] capture duration vs storage_shards = capture_threads,
+//        unthrottled
 //
 // Expected shape for (a)/(b): both are linear in database size — "the
 // recording of a checkpoint is limited by disk bandwidth in our system,
@@ -10,10 +11,11 @@
 // disk IO". The paper sweeps 10/50/100/150M records; this harness sweeps
 // the same 1:5:10:15 proportions scaled by --base_records.
 //
-// The (c) sweep runs the capture phase with 1..N segment writers over an
+// The (c) sweep runs the capture phase over N shards with N segment
+// writers (one segment per shard is the only layout written) over an
 // unthrottled disk (the shared token bucket otherwise caps the aggregate
 // rate and flattens the curve by design): capture wall time should fall
-// with thread count until the device or the core count saturates.
+// with N until the device or the core count saturates.
 //
 // Flags: --base_records --seconds --threads --disk_mbps --algo=calc
 //        --thread_sweep=1,2,4 --json_out=BENCH_fig8.json
@@ -128,8 +130,8 @@ int main(int argc, char** argv) {
   }
   uint64_t sweep_records = base_records * 4;
   for (int capture_threads : sweep) {
-    std::printf("running %s @ %llu records, capture_threads=%d, "
-                "unthrottled...\n",
+    std::printf("running %s @ %llu records, storage_shards = "
+                "capture_threads = %d, unthrottled...\n",
                 AlgorithmName(algo),
                 static_cast<unsigned long long>(sweep_records),
                 capture_threads);
@@ -141,6 +143,7 @@ int main(int argc, char** argv) {
     config.ckpt_at = {config.seconds * 0.15};
     config.disk_bytes_per_sec = 0;  // expose the parallelism, not the cap
     config.capture_threads = capture_threads;
+    config.storage_shards = capture_threads;
     RunResult result = RunMicrobenchExperiment(config);
     ThreadRow row;
     row.capture_threads = capture_threads;
@@ -153,9 +156,9 @@ int main(int argc, char** argv) {
     thread_rows.push_back(row);
   }
 
-  std::printf("\n--- Figure 8(c): capture duration vs capture_threads "
-              "(unthrottled) ---\n");
-  std::printf("%-16s %12s %10s %14s %10s\n", "capture_threads",
+  std::printf("\n--- Figure 8(c): capture duration vs storage_shards = "
+              "capture_threads (unthrottled) ---\n");
+  std::printf("%-16s %12s %10s %14s %10s\n", "shards=threads",
               "capture_s", "segments", "committed", "speedup");
   for (const ThreadRow& row : thread_rows) {
     double speedup = (row.capture_s > 0 && !thread_rows.empty())

@@ -6,30 +6,11 @@
 #include <memory>
 #include <vector>
 
+#include "checkpoint/capture.h"
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/dirty_tracker.h"
 
 namespace calcdb {
-
-/// Options for the CALC checkpointer.
-struct CalcOptions {
-  /// Take partial checkpoints containing only records modified since the
-  /// previous virtual point of consistency (pCALC, paper §2.3).
-  bool partial = false;
-
-  /// Dirty-key structure for pCALC (paper's final choice: bit vector).
-  DirtyTrackerKind tracker = DirtyTrackerKind::kBitVector;
-
-  /// Capture-phase worker threads. With a single-shard store, 1 keeps the
-  /// legacy single-file capture (byte-stable with the original format) and
-  /// N > 1 slices the slot space into N contiguous ranges, each written to
-  /// its own segment file. With a sharded store the segments ARE the
-  /// shards (ckpt.<id>.segK holds exactly shard K, ascending slot order)
-  /// and capture_threads only sizes the worker pool drawing shard ids —
-  /// never the file layout. All writers draw from the storage's shared
-  /// write budget.
-  int capture_threads = 1;
-};
 
 /// CALC — Checkpointing Asynchronously using Logical Consistency.
 ///
@@ -70,17 +51,16 @@ struct CalcOptions {
 /// like an update does.
 class CalcCheckpointer : public Checkpointer {
  public:
-  CalcCheckpointer(EngineContext engine, CalcOptions options);
+  /// `partial`: pCALC (paper §2.3), capturing only records modified
+  /// since the previous virtual point of consistency.
+  CalcCheckpointer(EngineContext engine, bool partial);
 
   const char* name() const override {
-    return options_.partial ? "pCALC" : "CALC";
+    return is_partial() ? "pCALC" : "CALC";
   }
-  bool is_partial() const override { return options_.partial; }
 
   void ApplyWrite(Txn& txn, Record& rec, Value* new_val) override;
   void OnCommit(Txn& txn) override;
-
-  [[nodiscard]] Status RunCheckpointCycle() override;
 
   /// Peak number of live stable versions during the last cycle (Fig 6:
   /// CALC "only requires extra space for records written during the short
@@ -91,6 +71,10 @@ class CalcCheckpointer : public Checkpointer {
   int64_t stable_versions() const {
     return stable_versions_.load(std::memory_order_relaxed);
   }
+
+ protected:
+  [[nodiscard]] Status Capture(CheckpointInfo* info,
+                               CheckpointCycleStats* stats) override;
 
  private:
   bool StableAvailable(const Record& rec) const {
@@ -110,36 +94,22 @@ class CalcCheckpointer : public Checkpointer {
   uint32_t VpocLimit(uint32_t s) const {
     return slots_at_vpoc_[s].load(std::memory_order_acquire);
   }
-  /// Shard `s`'s dirty set of the given parity (pCALC only).
-  DirtyKeyTracker& DirtyFor(uint32_t parity, uint32_t s) {
-    return *dirty_[parity][s];
+  /// True if the capture scan will visit `rec`: inside its shard's
+  /// VPoC watermark and, for pCALC, in the consumed dirty set.
+  bool InCaptureScan(const Record& rec) const {
+    return rec.index < VpocLimit(rec.shard) &&
+           (dirty_ == nullptr ||
+            dirty_->Test(capture_parity_.load(std::memory_order_acquire),
+                         rec));
   }
 
-  /// Captures one record; emits at most one entry into `writer`.
-  [[nodiscard]] Status CaptureRecord(Record& rec,
-                                     CheckpointFileWriter* writer);
-
-  /// Single-file scans, shard-major (identical to the legacy dense scan
-  /// with one shard).
-  [[nodiscard]] Status CaptureAll(CheckpointFileWriter* writer);
-  [[nodiscard]] Status CapturePartial(CheckpointFileWriter* writer);
-
-  /// Parallel segmented capture. Single-shard store: the slot space is
-  /// sliced into capture_threads contiguous ranges, one segment file per
-  /// range. Sharded store: one segment per shard (segment K == shard K),
-  /// with min(capture_threads, shards) workers pulling shard ids. On
-  /// success fills `info->segments`, `info->num_entries` and `stats`
-  /// capture fields.
-  [[nodiscard]] Status CaptureSegmented(CheckpointType type, uint64_t id,
-                                        uint64_t vpoc_lsn,
-                                        CheckpointInfo* info,
-                                        CheckpointCycleStats* stats);
+  /// The capture scan's version selection (Figure 1's capture-phase
+  /// branch): consumes any published stable version, else the live one.
+  CapturedVersion CaptureRecord(Record& rec);
 
   /// Blocks until there is no active transaction whose start phase is in
   /// `phases` ("wait for all active txns to have start-phase == X").
   void WaitForDrain(std::initializer_list<Phase> phases);
-
-  CalcOptions options_;
 
   /// Monotone cycle counter; Record::stable_cycle == active_cycle_ means
   /// "stable version available". 0 while at rest.
@@ -152,9 +122,8 @@ class CalcCheckpointer : public Checkpointer {
   /// with respect to commit order).
   std::vector<std::atomic<uint32_t>> slots_at_vpoc_;
 
-  /// pCALC: double-buffered dirty sets indexed by VPoC-count parity,
-  /// one tracker per shard (sized to the shard's own index space).
-  std::vector<std::unique_ptr<DirtyKeyTracker>> dirty_[2];
+  /// pCALC only: dirty sets indexed by VPoC-count parity.
+  std::unique_ptr<DirtySet> dirty_;
   /// Parity of the dirty set consumed by the in-progress capture.
   std::atomic<uint32_t> capture_parity_{0};
 

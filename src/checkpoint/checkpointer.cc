@@ -39,6 +39,22 @@ Status Checkpointer::WaitLogDurable(uint64_t vpoc_lsn) {
   return Status::OK();
 }
 
+Status Checkpointer::RunCheckpointCycle() {
+  Stopwatch total;
+  CALCDB_TRACE_SPAN(cycle_span, name(), "ckpt", 0);
+  CheckpointInfo info;
+  info.id = engine_.ckpt_storage->NextId();
+  info.type = partial_ ? CheckpointType::kPartial : CheckpointType::kFull;
+  CheckpointCycleStats stats;
+  stats.checkpoint_id = info.id;
+  CALCDB_RETURN_NOT_OK(Capture(&info, &stats));
+  CALCDB_RETURN_NOT_OK(PublishCheckpoint(info));
+  stats.segments = info.files().size();
+  stats.total_micros = total.ElapsedMicros();
+  SetLastCycle(stats);
+  return Status::OK();
+}
+
 Status Checkpointer::PublishCheckpoint(const CheckpointInfo& info) {
   // Durability barrier: the manifest may name this checkpoint only after
   // its RESOLVE token is fsynced. Registering earlier would let a crash

@@ -7,6 +7,7 @@
 
 #include "checkpoint/admission_gate.h"
 #include "checkpoint/ckpt_storage.h"
+#include "checkpoint/dirty_tracker.h"
 #include "checkpoint/phase.h"
 #include "log/commit_log.h"
 #include "storage/sharded_store.h"
@@ -28,6 +29,11 @@ struct EngineContext {
   /// Checkpoint cycles gate manifest registration on its durability
   /// horizon (WaitLogDurable).
   const CommandLogStreamer* streamer = nullptr;
+  /// Worker-pool size of the capture job (Options::capture_threads,
+  /// resolved). Never changes the file layout.
+  int capture_threads = 1;
+  /// Dirty-key structure of the partial algorithms' DirtySet.
+  DirtyTrackerKind dirty_tracker = DirtyTrackerKind::kBitVector;
 };
 
 /// Statistics for one completed checkpoint cycle.
@@ -35,7 +41,7 @@ struct CheckpointCycleStats {
   uint64_t checkpoint_id = 0;
   uint64_t records_written = 0;
   uint64_t bytes_written = 0;
-  uint64_t segments = 0;        ///< segment files written (1 = single-file)
+  uint64_t segments = 0;        ///< files written (1 = single-file)
   int64_t quiesce_micros = 0;   ///< time the admission gate was closed
   int64_t capture_micros = 0;   ///< asynchronous capture duration
   int64_t total_micros = 0;
@@ -47,10 +53,13 @@ struct CheckpointCycleStats {
 /// the benchmark harness) calls RunCheckpointCycle to take one checkpoint.
 /// Implementations: CalcCheckpointer (the paper's contribution, full and
 /// partial), NaiveSnapshotCheckpointer, FuzzyCheckpointer, IppCheckpointer,
-/// ZigzagCheckpointer, and NoCheckpointer (the "None" baseline).
+/// ZigzagCheckpointer, MvccCheckpointer, ForkSnapshotCheckpointer, and
+/// NoCheckpointer (the "None" baseline).
 class Checkpointer {
  public:
-  explicit Checkpointer(EngineContext engine) : engine_(engine) {}
+  /// `partial`: the algorithm writes partial checkpoints.
+  explicit Checkpointer(EngineContext engine, bool partial = false)
+      : engine_(engine), partial_(partial) {}
   virtual ~Checkpointer() = default;
 
   Checkpointer(const Checkpointer&) = delete;
@@ -60,7 +69,7 @@ class Checkpointer {
 
   /// True if this algorithm only ever writes records changed since the
   /// previous checkpoint (the "p" variants).
-  virtual bool is_partial() const { return false; }
+  bool is_partial() const { return partial_; }
 
   /// True if recovery can load this algorithm's checkpoints into a
   /// transaction-consistent state without a full ARIES-style log. False
@@ -94,8 +103,11 @@ class Checkpointer {
   // ------------------------------------------------------------------
 
   /// Takes one checkpoint synchronously on the calling thread; returns
-  /// once the checkpoint is durable and the system is back at rest.
-  [[nodiscard]] virtual Status RunCheckpointCycle() = 0;
+  /// once the checkpoint is durable and the system is back at rest. The
+  /// one cycle every algorithm shares: allocate the id, run the
+  /// algorithm's Capture, PublishCheckpoint, record the cycle stats. A
+  /// failed capture registers nothing.
+  [[nodiscard]] Status RunCheckpointCycle();
 
   /// Stats of the most recent completed cycle.
   CheckpointCycleStats last_cycle() const {
@@ -104,6 +116,18 @@ class Checkpointer {
   }
 
  protected:
+  /// The algorithm's part of one cycle: reach its point of consistency,
+  /// set `info->vpoc_lsn`, and write the checkpoint files (through
+  /// RunCapture in capture.h, except Fork's child). `info` arrives with
+  /// id and type set; `stats` with checkpoint_id. Fills the rest of
+  /// `info` and the records / bytes / quiesce / capture fields of
+  /// `stats`.
+  [[nodiscard]] virtual Status Capture(CheckpointInfo* info,
+                                       CheckpointCycleStats* stats) = 0;
+
+  EngineContext engine_;
+
+ private:
   /// The one publish step every algorithm ends its cycle with:
   /// WaitLogDurable(info.vpoc_lsn), Register, PersistManifest, then —
   /// only while a command-log streamer runs — advance the commit log's
@@ -118,9 +142,6 @@ class Checkpointer {
   /// once per checkpoint cycle.
   void SetLastCycle(const CheckpointCycleStats& stats);
 
-  EngineContext engine_;
-
- private:
   /// Durability barrier for the checkpoint's point-of-consistency token.
   /// Blocks until the attached command-log streamer (if any) has fsynced
   /// the log through `vpoc_lsn` inclusive; a no-op when no streamer is
@@ -133,6 +154,7 @@ class Checkpointer {
   /// registered.
   [[nodiscard]] Status WaitLogDurable(uint64_t vpoc_lsn);
 
+  const bool partial_;
   mutable SpinLatch stats_latch_;
   CheckpointCycleStats last_cycle_;
 };
@@ -146,7 +168,9 @@ class NoCheckpointer : public Checkpointer {
 
   void ApplyWrite(Txn& txn, Record& rec, Value* new_val) override;
 
-  [[nodiscard]] Status RunCheckpointCycle() override {
+ protected:
+  [[nodiscard]] Status Capture(CheckpointInfo*,
+                               CheckpointCycleStats*) override {
     return Status::NotSupported("NoCheckpointer takes no checkpoints");
   }
 };

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include <fcntl.h>
@@ -150,14 +151,11 @@ int ForkSnapshotCheckpointer::ChildWriteSnapshot(int fd, uint64_t id,
   return 0;
 }
 
-Status ForkSnapshotCheckpointer::RunCheckpointCycle() {
-  Stopwatch total;
-  CALCDB_TRACE_SPAN(cycle_span, name(), "ckpt", 0);
-  CheckpointCycleStats stats;
-  uint64_t id = engine_.ckpt_storage->NextId();
-  stats.checkpoint_id = id;
-
-  std::string path = engine_.ckpt_storage->PathFor(id, CheckpointType::kFull);
+Status ForkSnapshotCheckpointer::Capture(CheckpointInfo* info,
+                                         CheckpointCycleStats* stats) {
+  const uint64_t id = info->id;
+  info->path = engine_.ckpt_storage->PathFor(id, CheckpointType::kFull);
+  const std::string& path = info->path;
   // lint:allow(raw-io): the forked child must write through a raw fd —
   // sharing a buffered stdio stream across fork() would double-flush.
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -170,7 +168,7 @@ Status ForkSnapshotCheckpointer::RunCheckpointCycle() {
   pid_t child = -1;
   uint64_t poc_lsn = 0;
   Status st;
-  stats.quiesce_micros = QuiesceAndRun(
+  stats->quiesce_micros = QuiesceAndRun(
       engine_,
       [&]() -> Status {
         poc_lsn = engine_.log->AppendPhaseTransition(Phase::kResolve, id,
@@ -221,30 +219,21 @@ Status ForkSnapshotCheckpointer::RunCheckpointCycle() {
                 {"checkpoint_id", static_cast<int64_t>(id)});
     return Status::IOError(msg);
   }
-  stats.capture_micros = capture_sw.ElapsedMicros();
+  stats->capture_micros = capture_sw.ElapsedMicros();
 
   // Entry count lives in the file; read it back for the manifest.
   CheckpointFileReader reader;
   CALCDB_RETURN_NOT_OK(
       reader.Open(path, engine_.ckpt_storage->read_ahead_bytes()));
-  uint64_t entries = 0;
-  CALCDB_RETURN_NOT_OK(reader.ReadAll(
-      [&](const CheckpointEntry&) -> Status {
-        ++entries;
-        return Status::OK();
-      }));
-
-  CheckpointInfo info;
-  info.id = id;
-  info.type = CheckpointType::kFull;
-  info.vpoc_lsn = poc_lsn;
-  info.num_entries = entries;
-  info.path = path;
-  CALCDB_RETURN_NOT_OK(PublishCheckpoint(info));
-
-  stats.records_written = entries;
-  stats.total_micros = total.ElapsedMicros();
-  SetLastCycle(stats);
+  CALCDB_RETURN_NOT_OK(reader.ReadAll([&](const CheckpointEntry&) -> Status {
+    ++info->num_entries;
+    return Status::OK();
+  }));
+  std::error_code ec;
+  stats->bytes_written = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IOError("stat " + path + ": " + ec.message());
+  info->vpoc_lsn = poc_lsn;
+  stats->records_written = info->num_entries;
   return Status::OK();
 }
 

@@ -34,7 +34,9 @@ class ForkSnapshotCheckpointer : public Checkpointer {
 
   void ApplyWrite(Txn& txn, Record& rec, Value* new_val) override;
 
-  [[nodiscard]] Status RunCheckpointCycle() override;
+ protected:
+  [[nodiscard]] Status Capture(CheckpointInfo* info,
+                               CheckpointCycleStats* stats) override;
 
  private:
   /// Runs in the forked child: writes every present record (shard-major

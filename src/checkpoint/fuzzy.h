@@ -1,24 +1,14 @@
 #ifndef CALCDB_CHECKPOINT_FUZZY_H_
 #define CALCDB_CHECKPOINT_FUZZY_H_
 
-#include <atomic>
-#include <memory>
+#include <string>
 #include <vector>
 
+#include "checkpoint/capture.h"
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/dirty_tracker.h"
 
 namespace calcdb {
-
-/// Options for the fuzzy checkpointer.
-struct FuzzyOptions {
-  /// pFuzzy (the traditional form, and the paper's default): flush only
-  /// dirty records. The full variant additionally maintains an in-memory
-  /// copy of the latest snapshot and writes a complete checkpoint by
-  /// merging the dirty records into it (paper §4.1.2).
-  bool partial = true;
-  DirtyTrackerKind tracker = DirtyTrackerKind::kBitVector;
-};
 
 /// Fuzzy checkpointing adapted to a main-memory store at record
 /// granularity (paper §4.1.2):
@@ -42,26 +32,35 @@ struct FuzzyOptions {
 /// overhead experiments but recovery from them returns NotSupported.
 class FuzzyCheckpointer : public Checkpointer {
  public:
-  FuzzyCheckpointer(EngineContext engine, FuzzyOptions options);
+  /// `partial`: pFuzzy (the traditional form, and the paper's default)
+  /// flushes only dirty records. The full variant additionally keeps an
+  /// in-memory copy of the latest snapshot and writes a complete
+  /// checkpoint by merging the dirty records into it (paper §4.1.2).
+  FuzzyCheckpointer(EngineContext engine, bool partial);
   ~FuzzyCheckpointer() override;
 
   const char* name() const override {
-    return options_.partial ? "pFuzzy" : "Fuzzy";
+    return is_partial() ? "pFuzzy" : "Fuzzy";
   }
-  bool is_partial() const override { return options_.partial; }
   bool transaction_consistent() const override { return false; }
 
   void ApplyWrite(Txn& txn, Record& rec, Value* new_val) override;
   void OnCommit(Txn& txn) override;
 
-  [[nodiscard]] Status RunCheckpointCycle() override;
+  /// Where the quiesce writes the dirty-record table: one file per
+  /// checkpointer, truncated every cycle. Nothing reads it back.
+  std::string DirtyTablePath() const;
+
+ protected:
+  [[nodiscard]] Status Capture(CheckpointInfo* info,
+                               CheckpointCycleStats* stats) override;
 
  private:
-  FuzzyOptions options_;
+  /// Serializes the frozen dirty side as one 8-byte key per dirty record,
+  /// through the same throttled device as checkpoints.
+  [[nodiscard]] Status WriteDirtyTable(const CaptureSource& source);
 
-  /// Double-buffered dirty sets, one tracker per shard.
-  std::vector<std::unique_ptr<DirtyKeyTracker>> dirty_[2];
-  std::atomic<uint32_t> active_dirty_{0};
+  DirtySet dirty_;
 
   /// Full variant only: the in-memory latest snapshot ("we maintain an
   /// extra copy of the database in main memory which is the latest

@@ -2,14 +2,13 @@
 
 #include <cassert>
 
-#include "obs/obs.h"
+#include "checkpoint/capture.h"
 #include "util/clock.h"
 
 namespace calcdb {
 
-MvccCheckpointer::MvccCheckpointer(EngineContext engine,
-                                   MvccOptions options)
-    : Checkpointer(engine), options_(options) {
+MvccCheckpointer::MvccCheckpointer(EngineContext engine, bool eager_gc)
+    : Checkpointer(engine), eager_gc_(eager_gc) {
   uint32_t nshards = engine_.store->num_shards();
   heads_.resize(nshards);
   // Migrate the loaded database into version chains: one version per
@@ -69,7 +68,7 @@ void MvccCheckpointer::ApplyWrite(Txn& txn, Record& rec, Value* new_val) {
   live_versions_.fetch_add(1, std::memory_order_relaxed);
   engine_.store->ReplaceLive(rec, new_val);
 
-  if (!options_.eager_gc) return;
+  if (!eager_gc_) return;
 
   // Eager GC: retain the head (this transaction's version), the newest
   // committed version, and — while a capture at LSN V runs — the newest
@@ -120,104 +119,62 @@ void MvccCheckpointer::OnCommit(Txn& txn) {
   }
 }
 
-Status MvccCheckpointer::RunCheckpointCycle() {
-  Stopwatch total;
-  CALCDB_TRACE_SPAN(cycle_span, name(), "ckpt", 0);
-  CheckpointCycleStats stats;
-  uint64_t id = engine_.ckpt_storage->NextId();
-  stats.checkpoint_id = id;
-
+Status MvccCheckpointer::Capture(CheckpointInfo* info,
+                                 CheckpointCycleStats* stats) {
   // The point of consistency is just a token; no phase machinery. The
   // capture flag and watermark publish inside the log latch so that no
   // commit can order after the token yet be garbage-collected as if it
   // preceded it.
-  uint32_t nshards = engine_.store->num_shards();
-  std::vector<uint32_t> slots_at_poc(nshards, 0);
+  const uint32_t nshards = engine_.store->num_shards();
+  CaptureSource source;
+  source.limits.resize(nshards);  // allocated outside the log latch
   uint64_t poc_lsn = engine_.log->AppendPhaseTransition(
-      Phase::kResolve, id, /*pc=*/nullptr, [&] {
+      Phase::kResolve, info->id, /*pc=*/nullptr, [&] {
         for (uint32_t s = 0; s < nshards; ++s) {
-          slots_at_poc[s] = engine_.store->shard(s)->NumSlots();
+          source.limits[s] = engine_.store->shard(s)->NumSlots();
         }
         capture_lsn_.store(engine_.log->SizeLocked(),
                            std::memory_order_release);
         capture_active_.store(true, std::memory_order_release);
       });
+  info->vpoc_lsn = poc_lsn;
 
-  Stopwatch capture_sw;
-  std::string path =
-      engine_.ckpt_storage->PathFor(id, CheckpointType::kFull);
-  CheckpointFileWriter writer;
-  CALCDB_RETURN_NOT_OK(
-      writer.Open(path, CheckpointType::kFull, id, poc_lsn,
-                  engine_.ckpt_storage->writer_options()));
-
-  auto capture_record = [&](uint32_t s, uint32_t idx) -> Status {
-    Record* rec = engine_.store->shard(s)->ByIndex(idx);
-    Value* to_write = nullptr;
-    uint64_t key = 0;
-    for (;;) {
-      bool writer_mid_commit = false;
-      {
-        SpinLatchGuard guard(rec->latch);
-        key = rec->key;
-        VersionNode* head = heads_[s][idx];
-        if (head != nullptr && head->stamp == kUnstamped) {
-          // Writer mid-commit: its LSN relative to the token is not
+  Status st = RunCapture(
+      engine_, source,
+      [&](Record& rec) {
+        CapturedVersion out{rec.key, nullptr};
+        for (;;) {
+          {
+            SpinLatchGuard guard(rec.latch);
+            VersionNode* head = heads_[rec.shard][rec.index];
+            if (head == nullptr || head->stamp != kUnstamped) {
+              // Select the newest version visible at the point of
+              // consistency.
+              VersionNode* node = head;
+              while (node != nullptr && node->stamp > poc_lsn) {
+                node = node->next;
+              }
+              if (node != nullptr && node->value != nullptr) {
+                out.value = Value::Ref(node->value);
+              }
+              // GC: the head covers every future point of consistency;
+              // free everything below it.
+              if (head != nullptr) {
+                FreeChain(head->next);
+                head->next = nullptr;
+              }
+              return out;
+            }
+          }
+          // A writer mid-commit: its LSN relative to the token is not
           // known yet. Retry after sleeping OUTSIDE the latch, or the
           // committing writer could starve on it.
-          writer_mid_commit = true;
-        } else {
-          // Select the newest version visible at the point of
-          // consistency.
-          VersionNode* node = head;
-          while (node != nullptr && node->stamp > poc_lsn) {
-            node = node->next;
-          }
-          if (node != nullptr && node->value != nullptr) {
-            to_write = Value::Ref(node->value);
-          }
-          // GC: the head covers every future point of consistency; free
-          // everything below it.
-          if (head != nullptr) {
-            FreeChain(head->next);
-            head->next = nullptr;
-          }
+          SleepMicros(10);
         }
-      }
-      if (!writer_mid_commit) break;
-      SleepMicros(10);
-    }
-    Status append_st;
-    if (to_write != nullptr) {
-      append_st = writer.Append(key, to_write->data());
-      Value::Unref(to_write);
-    }
-    return append_st;
-  };
-
-  for (uint32_t s = 0; s < nshards; ++s) {
-    for (uint32_t idx = 0; idx < slots_at_poc[s]; ++idx) {
-      CALCDB_RETURN_NOT_OK(capture_record(s, idx));
-    }
-  }
-  CALCDB_RETURN_NOT_OK(writer.Finish());
+      },
+      info, stats);
   capture_active_.store(false, std::memory_order_release);
-  stats.capture_micros = capture_sw.ElapsedMicros();
-  stats.records_written = writer.entries_written();
-  stats.bytes_written = writer.bytes_written();
-
-  CheckpointInfo info;
-  info.id = id;
-  info.type = CheckpointType::kFull;
-  info.vpoc_lsn = poc_lsn;
-  info.num_entries = writer.entries_written();
-  info.path = path;
-  CALCDB_RETURN_NOT_OK(PublishCheckpoint(info));
-
-  stats.quiesce_micros = 0;
-  stats.total_micros = total.ElapsedMicros();
-  SetLastCycle(stats);
-  return Status::OK();
+  return st;
 }
 
 }  // namespace calcdb

@@ -9,17 +9,6 @@
 
 namespace calcdb {
 
-/// Options for the MVCC checkpointer.
-struct MvccOptions {
-  /// false (default): paper-style *full multi-versioning* — versions
-  /// accumulate between checkpoints and are trimmed only by the capture
-  /// scan, demonstrating §2.1's "complete multi-versioning ... is likely
-  /// to be too expensive in terms of memory resources".
-  /// true: writers eagerly free superseded versions whenever no capture
-  /// is in progress, collapsing the memory profile toward CALC's.
-  bool eager_gc = false;
-};
-
 /// Full multi-versioning checkpointer (paper §2.1's MVCC alternative).
 ///
 /// "Systems implementing snapshot isolation via MVCC implement full
@@ -42,7 +31,13 @@ struct MvccOptions {
 /// microseconds and never blocks transactions.
 class MvccCheckpointer : public Checkpointer {
  public:
-  MvccCheckpointer(EngineContext engine, MvccOptions options);
+  /// `eager_gc` false (default): paper-style *full multi-versioning* —
+  /// versions accumulate between checkpoints and are trimmed only by the
+  /// capture scan, demonstrating §2.1's "complete multi-versioning ... is
+  /// likely to be too expensive in terms of memory resources". true:
+  /// writers eagerly free superseded versions whenever no capture is in
+  /// progress, collapsing the memory profile toward CALC's.
+  MvccCheckpointer(EngineContext engine, bool eager_gc);
   ~MvccCheckpointer() override;
 
   const char* name() const override { return "MVCC"; }
@@ -51,12 +46,14 @@ class MvccCheckpointer : public Checkpointer {
   void ApplyWrite(Txn& txn, Record& rec, Value* new_val) override;
   void OnCommit(Txn& txn) override;
 
-  [[nodiscard]] Status RunCheckpointCycle() override;
-
   /// Number of version nodes currently alive (tests / memory analysis).
   int64_t live_versions() const {
     return live_versions_.load(std::memory_order_relaxed);
   }
+
+ protected:
+  [[nodiscard]] Status Capture(CheckpointInfo* info,
+                               CheckpointCycleStats* stats) override;
 
  private:
   struct VersionNode {
@@ -69,7 +66,7 @@ class MvccCheckpointer : public Checkpointer {
   /// Frees `node` and everything below it.
   void FreeChain(VersionNode* node);
 
-  MvccOptions options_;
+  const bool eager_gc_;
 
   /// Version chain heads, per shard ([shard][index]). Guarded by the
   /// record's micro-latch.

@@ -1,22 +1,12 @@
 #ifndef CALCDB_CHECKPOINT_NAIVE_H_
 #define CALCDB_CHECKPOINT_NAIVE_H_
 
-#include <atomic>
 #include <memory>
-#include <vector>
 
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/dirty_tracker.h"
 
 namespace calcdb {
-
-/// Options for the naive snapshot checkpointer.
-struct NaiveOptions {
-  /// pNaive: quiesce, but write only records dirtied since the previous
-  /// checkpoint.
-  bool partial = false;
-  DirtyTrackerKind tracker = DirtyTrackerKind::kBitVector;
-};
 
 /// Naive snapshot (paper §4.1.1): acquire exclusive access to the entire
 /// database — implemented as closing the admission gate and draining all
@@ -29,27 +19,25 @@ struct NaiveOptions {
 /// matching the paper's Appendix A observation.)
 class NaiveSnapshotCheckpointer : public Checkpointer {
  public:
-  NaiveSnapshotCheckpointer(EngineContext engine, NaiveOptions options);
+  /// `partial`: pNaive — quiesce, but write only records dirtied since
+  /// the previous checkpoint.
+  NaiveSnapshotCheckpointer(EngineContext engine, bool partial);
 
   const char* name() const override {
-    return options_.partial ? "pNaive" : "Naive";
+    return is_partial() ? "pNaive" : "Naive";
   }
-  bool is_partial() const override { return options_.partial; }
 
   void ApplyWrite(Txn& txn, Record& rec, Value* new_val) override;
   void OnCommit(Txn& txn) override;
 
-  [[nodiscard]] Status RunCheckpointCycle() override;
+ protected:
+  [[nodiscard]] Status Capture(CheckpointInfo* info,
+                               CheckpointCycleStats* stats) override;
 
  private:
-  NaiveOptions options_;
-
-  /// Double-buffered dirty sets, one tracker per shard (each sized to its
-  /// shard's index space); `active_dirty_` indexes the side being marked,
-  /// the other side is consumed by the in-progress checkpoint. Flipped
-  /// during the quiesce, when no transaction is in flight.
-  std::vector<std::unique_ptr<DirtyKeyTracker>> dirty_[2];
-  std::atomic<uint32_t> active_dirty_{0};
+  /// pNaive only; flipped during the quiesce, when no transaction is in
+  /// flight.
+  std::unique_ptr<DirtySet> dirty_;
 };
 
 }  // namespace calcdb

@@ -1,7 +1,6 @@
 #ifndef CALCDB_CHECKPOINT_ZIGZAG_H_
 #define CALCDB_CHECKPOINT_ZIGZAG_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -10,16 +9,6 @@
 #include "util/bitvec.h"
 
 namespace calcdb {
-
-/// Options for the Zigzag checkpointer.
-struct ZigzagOptions {
-  /// pZigzag: write only records dirtied since the previous checkpoint
-  /// (paper §4.1.4: "a second version of the ... implementations that take
-  /// only partial snapshots using the same bit vectors as used for
-  /// pCALC").
-  bool partial = false;
-  DirtyTrackerKind tracker = DirtyTrackerKind::kBitVector;
-};
 
 /// Zigzag (Cao et al., adapted per paper §4.1.4): two versions of every
 /// record — AS[key]_0 and AS[key]_1, stored in the record's two version
@@ -36,18 +25,23 @@ struct ZigzagOptions {
 /// memory (Figure 6).
 class ZigzagCheckpointer : public Checkpointer {
  public:
-  ZigzagCheckpointer(EngineContext engine, ZigzagOptions options);
+  /// `partial`: pZigzag — write only records dirtied since the previous
+  /// checkpoint (paper §4.1.4: "a second version of the ...
+  /// implementations that take only partial snapshots using the same bit
+  /// vectors as used for pCALC").
+  ZigzagCheckpointer(EngineContext engine, bool partial);
 
   const char* name() const override {
-    return options_.partial ? "pZigzag" : "Zigzag";
+    return is_partial() ? "pZigzag" : "Zigzag";
   }
-  bool is_partial() const override { return options_.partial; }
 
   Value* ReadRecord(Txn& txn, Record& rec) override;
   void ApplyWrite(Txn& txn, Record& rec, Value* new_val) override;
   void OnCommit(Txn& txn) override;
 
-  [[nodiscard]] Status RunCheckpointCycle() override;
+ protected:
+  [[nodiscard]] Status Capture(CheckpointInfo* info,
+                               CheckpointCycleStats* stats) override;
 
  private:
   /// Pointer to the record's version slot `v` (0 => live, 1 => stable).
@@ -55,16 +49,13 @@ class ZigzagCheckpointer : public Checkpointer {
     return v ? &rec.stable : &rec.live;
   }
 
-  ZigzagOptions options_;
-
   /// MR[key] / MW[key], one bit vector per shard (indexed by the shard's
   /// own dense record indexes).
   std::vector<std::unique_ptr<AtomicBitVector>> mr_;  ///< version to read
   std::vector<std::unique_ptr<AtomicBitVector>> mw_;  ///< version to write
 
-  /// Double-buffered dirty sets, one tracker per shard.
-  std::vector<std::unique_ptr<DirtyKeyTracker>> dirty_[2];
-  std::atomic<uint32_t> active_dirty_{0};
+  /// pZigzag only; flipped during the physical point of consistency.
+  std::unique_ptr<DirtySet> dirty_;
 };
 
 }  // namespace calcdb

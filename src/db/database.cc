@@ -12,6 +12,7 @@
 #include "util/fault_injection.h"
 
 #include "checkpoint/calc.h"
+#include "checkpoint/capture.h"
 #include "checkpoint/fork_snapshot.h"
 #include "checkpoint/fuzzy.h"
 #include "checkpoint/ipp.h"
@@ -273,23 +274,14 @@ Status Database::RecoverFromCommandLog(RecoveryStats* stats) {
 
 Status Database::WriteBaseCheckpoint() {
   if (started_) return Status::InvalidArgument("base ckpt after Start");
-  uint64_t id = ckpt_storage_.NextId();
-  uint64_t poc_lsn =
-      log_.AppendPhaseTransition(Phase::kResolve, id, /*pc=*/nullptr);
-  std::string path = ckpt_storage_.PathFor(id, CheckpointType::kFull);
-  CheckpointFileWriter writer;
-  CALCDB_RETURN_NOT_OK(writer.Open(path, CheckpointType::kFull, id,
-                                   poc_lsn,
-                                   ckpt_storage_.writer_options()));
-  Status append_st;
-  store_->ForEachRecord([&](Record* rec) {
-    if (!append_st.ok()) return;
-    if (Record::IsRealValue(rec->live)) {
-      append_st = writer.Append(rec->key, rec->live->data());
-    }
-  });
-  CALCDB_RETURN_NOT_OK(append_st);
-  CALCDB_RETURN_NOT_OK(writer.Finish());
+  CheckpointInfo info;
+  info.id = ckpt_storage_.NextId();
+  info.type = CheckpointType::kFull;
+  info.vpoc_lsn =
+      log_.AppendPhaseTransition(Phase::kResolve, info.id, /*pc=*/nullptr);
+  CheckpointCycleStats stats;
+  CALCDB_RETURN_NOT_OK(RunCapture(Engine(), CaptureSource::AllSlots(*store_),
+                                  LiveVersion, &info, &stats));
   if (!options_.command_log_path.empty()) {
     // Durability barrier (the pre-Start analogue of
     // Checkpointer::WaitLogDurable): the manifest may name this
@@ -309,17 +301,11 @@ Status Database::WriteBaseCheckpoint() {
   // A crash here orphans the finished base-checkpoint file: the manifest
   // never lists it, so recovery replays the log from scratch instead.
   CALCDB_FAULT_POINT("base_ckpt.register");
-  CheckpointInfo info;
-  info.id = id;
-  info.type = CheckpointType::kFull;
-  info.vpoc_lsn = poc_lsn;
-  info.num_entries = writer.entries_written();
-  info.path = path;
   ckpt_storage_.Register(info);
   return ckpt_storage_.PersistManifest();
 }
 
-Status Database::MakeCheckpointer() {
+EngineContext Database::Engine() {
   EngineContext engine;
   engine.store = store_.get();
   engine.log = &log_;
@@ -327,59 +313,47 @@ Status Database::MakeCheckpointer() {
   engine.gate = &gate_;
   engine.ckpt_storage = &ckpt_storage_;
   engine.streamer = streamer_.get();
+  engine.capture_threads = ResolvedCaptureThreads(options_);
+  engine.dirty_tracker = options_.dirty_tracker;
+  return engine;
+}
 
-  switch (options_.algorithm) {
+Status Database::MakeCheckpointer() {
+  const EngineContext engine = Engine();
+  const CheckpointAlgorithm algo = options_.algorithm;
+  switch (algo) {
     case CheckpointAlgorithm::kNone:
       checkpointer_ = std::make_unique<NoCheckpointer>(engine);
       return Status::OK();
     case CheckpointAlgorithm::kCalc:
-    case CheckpointAlgorithm::kPCalc: {
-      CalcOptions opts;
-      opts.partial = options_.algorithm == CheckpointAlgorithm::kPCalc;
-      opts.tracker = options_.dirty_tracker;
-      opts.capture_threads = ResolvedCaptureThreads(options_);
-      checkpointer_ = std::make_unique<CalcCheckpointer>(engine, opts);
+    case CheckpointAlgorithm::kPCalc:
+      checkpointer_ = std::make_unique<CalcCheckpointer>(
+          engine, algo == CheckpointAlgorithm::kPCalc);
       return Status::OK();
-    }
     case CheckpointAlgorithm::kNaive:
-    case CheckpointAlgorithm::kPNaive: {
-      NaiveOptions opts;
-      opts.partial = options_.algorithm == CheckpointAlgorithm::kPNaive;
-      opts.tracker = options_.dirty_tracker;
-      checkpointer_ =
-          std::make_unique<NaiveSnapshotCheckpointer>(engine, opts);
+    case CheckpointAlgorithm::kPNaive:
+      checkpointer_ = std::make_unique<NaiveSnapshotCheckpointer>(
+          engine, algo == CheckpointAlgorithm::kPNaive);
       return Status::OK();
-    }
     case CheckpointAlgorithm::kFuzzy:
-    case CheckpointAlgorithm::kPFuzzy: {
-      FuzzyOptions opts;
-      opts.partial = options_.algorithm == CheckpointAlgorithm::kPFuzzy;
-      opts.tracker = options_.dirty_tracker;
-      checkpointer_ = std::make_unique<FuzzyCheckpointer>(engine, opts);
+    case CheckpointAlgorithm::kPFuzzy:
+      checkpointer_ = std::make_unique<FuzzyCheckpointer>(
+          engine, algo == CheckpointAlgorithm::kPFuzzy);
       return Status::OK();
-    }
     case CheckpointAlgorithm::kIpp:
-    case CheckpointAlgorithm::kPIpp: {
-      IppOptions opts;
-      opts.partial = options_.algorithm == CheckpointAlgorithm::kPIpp;
-      opts.tracker = options_.dirty_tracker;
-      checkpointer_ = std::make_unique<IppCheckpointer>(engine, opts);
+    case CheckpointAlgorithm::kPIpp:
+      checkpointer_ = std::make_unique<IppCheckpointer>(
+          engine, algo == CheckpointAlgorithm::kPIpp);
       return Status::OK();
-    }
     case CheckpointAlgorithm::kZigzag:
-    case CheckpointAlgorithm::kPZigzag: {
-      ZigzagOptions opts;
-      opts.partial = options_.algorithm == CheckpointAlgorithm::kPZigzag;
-      opts.tracker = options_.dirty_tracker;
-      checkpointer_ = std::make_unique<ZigzagCheckpointer>(engine, opts);
+    case CheckpointAlgorithm::kPZigzag:
+      checkpointer_ = std::make_unique<ZigzagCheckpointer>(
+          engine, algo == CheckpointAlgorithm::kPZigzag);
       return Status::OK();
-    }
-    case CheckpointAlgorithm::kMvcc: {
-      MvccOptions opts;
-      opts.eager_gc = options_.mvcc_eager_gc;
-      checkpointer_ = std::make_unique<MvccCheckpointer>(engine, opts);
+    case CheckpointAlgorithm::kMvcc:
+      checkpointer_ =
+          std::make_unique<MvccCheckpointer>(engine, options_.mvcc_eager_gc);
       return Status::OK();
-    }
     case CheckpointAlgorithm::kFork:
       checkpointer_ = std::make_unique<ForkSnapshotCheckpointer>(engine);
       return Status::OK();
@@ -422,14 +396,7 @@ Status Database::Start() {
   retained_gauge_live_ = true;
 #endif  // CALCDB_OBS_ENABLED
   CALCDB_RETURN_NOT_OK(MakeCheckpointer());
-  EngineContext engine;
-  engine.store = store_.get();
-  engine.log = &log_;
-  engine.phases = &phases_;
-  engine.gate = &gate_;
-  engine.ckpt_storage = &ckpt_storage_;
-  engine.streamer = streamer_.get();
-  executor_ = std::make_unique<Executor>(engine, &registry_,
+  executor_ = std::make_unique<Executor>(Engine(), &registry_,
                                          checkpointer_.get(),
                                          &lock_manager_);
   if (options_.background_merge && checkpointer_->is_partial()) {

@@ -159,6 +159,9 @@ class Database {
  private:
   explicit Database(const Options& options);
 
+  /// The engine view handed to the checkpointer, the executor and the
+  /// capture job.
+  EngineContext Engine();
   [[nodiscard]] Status MakeCheckpointer();
   void SetBackgroundStatus(const Status& st);
   void ConfigureHealthMonitor();

@@ -67,11 +67,12 @@ struct Options {
   /// roughly lock_stripes / storage_shards each (floored at 64).
   size_t lock_stripes = 1 << 16;
 
-  /// Checkpoint capture-phase worker threads (CALC/pCALC). 1 keeps the
-  /// legacy single-file capture; N > 1 shards the slot space into N
-  /// contiguous ranges, each written to its own segment file, with the
-  /// aggregate write rate still capped by `disk_bytes_per_sec`. 0 means
-  /// auto: the CALCDB_CAPTURE_THREADS environment variable if set, else 1.
+  /// Size of the capture job's worker pool, for every algorithm, and
+  /// nothing else: the files follow `storage_shards` (one file per
+  /// shard), with min(capture_threads, shards) workers writing them and
+  /// the aggregate write rate still capped by `disk_bytes_per_sec`. 0
+  /// means auto: the CALCDB_CAPTURE_THREADS environment variable if set,
+  /// else 1.
   int capture_threads = 0;
 
   /// Checkpoint-writer serialization block size: entries accumulate into
@@ -144,7 +145,8 @@ struct Options {
   std::string command_log_path;
   int command_log_flush_ms = 10;
 
-  /// kMvcc only: eagerly free superseded versions (see MvccOptions).
+  /// kMvcc only: eagerly free superseded versions (see the
+  /// MvccCheckpointer constructor).
   bool mvcc_eager_gc = false;
 
   /// Periodic metrics reporter (obs/stats_reporter.h): every

@@ -40,7 +40,7 @@ constexpr FaultPointInfo kRegistry[] = {
      "CheckpointFileWriter::Finish, after the footer, before Close's "
      "fsync"},
     {"ckpt.segment.finish",
-     "CALC segmented capture, before a segment writer's Finish"},
+     "capture job, before each checkpoint file's Finish"},
     {"ckpt.register",
      "Checkpointer::PublishCheckpoint (every algorithm's cycle), after "
      "the log-durability barrier (WaitLogDurable), before Register + "

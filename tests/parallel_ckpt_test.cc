@@ -71,13 +71,16 @@ TEST(TokenBucketTest, ZeroRateIsUnmetered) {
   EXPECT_LT(timer.ElapsedMicros(), 1000000);
 }
 
-Options ParallelOptions(const std::string& dir, int capture_threads) {
+// `shards` storage shards captured by as many workers. Both are explicit,
+// so they win over CALCDB_STORAGE_SHARDS / CALCDB_CAPTURE_THREADS.
+Options ParallelOptions(const std::string& dir, int shards) {
   Options options;
   options.max_records = 2048;
   options.algorithm = CheckpointAlgorithm::kCalc;
   options.checkpoint_dir = dir;
   options.disk_bytes_per_sec = 0;
-  options.capture_threads = capture_threads;
+  options.storage_shards = shards;
+  options.capture_threads = shards;
   return options;
 }
 
@@ -92,9 +95,9 @@ void RunFixedWorkload(Database* db, const MicrobenchConfig& config,
   }
 }
 
-// The same workload captured with 1 thread and with 4 threads must
-// materialize identical states; the 4-thread capture must actually have
-// produced 4 segment files.
+// The same workload captured from 1 shard and from 4 shards (4 capture
+// workers) must materialize identical states; the 4-shard capture must
+// actually have produced 4 segment files.
 TEST(ParallelCaptureTest, SegmentedCaptureMatchesSingleFile) {
   MicrobenchConfig config;
   config.num_records = 300;

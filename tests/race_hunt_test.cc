@@ -148,9 +148,9 @@ TEST_P(RaceHuntCheckpointTest, MutatorVsCheckpointerSameRecords) {
   EXPECT_EQ(live, replayed);
 }
 
-// R6: parallel segmented capture (capture_threads=4) racing mutators. The
-// capture workers partition the slot space and run CaptureRecord
-// concurrently with each other *and* with post-VPoC writers installing
+// R6: parallel segmented capture (4 shards, capture_threads=4) racing
+// mutators. Each capture worker owns whole shards and runs CaptureRecord
+// concurrently with the others *and* with post-VPoC writers installing
 // stable versions — the exact interleaving pCALC's per-record latch and
 // stable-status stamps must make safe. End-state replay equivalence plus
 // a chain audit (every segment footer + CRC intact, chain state equals
@@ -172,6 +172,7 @@ void RunSegmentedCaptureRace(CheckpointAlgorithm algo, bool async_io) {
   options.checkpoint_dir = dir.path();
   options.disk_bytes_per_sec = 0;
   options.capture_threads = 4;
+  options.storage_shards = 4;
   if (async_io) {
     options.ckpt_async_io = 1;
     // Tiny blocks force many capture-thread <-> I/O-thread handoffs per

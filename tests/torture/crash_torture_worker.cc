@@ -43,6 +43,7 @@ struct WorkerConfig {
   uint64_t merge_every = 0;  // 0: never merge
   std::string algo = "calc";
   int capture_threads = 1;
+  int storage_shards = 0;  // 0: auto (CALCDB_STORAGE_SHARDS, else 1)
   int flush_ms = 1;
   uint64_t seed = 1;
   /// Per-transaction pacing. Spreads the run over enough flusher ticks
@@ -75,6 +76,8 @@ bool ParseFlags(int argc, char** argv, WorkerConfig* config) {
       config->algo = v;
     } else if (ParseFlag(argv[i], "capture_threads", &v)) {
       config->capture_threads = std::atoi(v.c_str());
+    } else if (ParseFlag(argv[i], "storage_shards", &v)) {
+      config->storage_shards = std::atoi(v.c_str());
     } else if (ParseFlag(argv[i], "flush_ms", &v)) {
       config->flush_ms = std::atoi(v.c_str());
     } else if (ParseFlag(argv[i], "seed", &v)) {
@@ -105,6 +108,7 @@ int RunWorker(const WorkerConfig& config) {
   options.checkpoint_dir = config.dir + "/ckpt";
   options.disk_bytes_per_sec = 0;
   options.capture_threads = config.capture_threads;
+  options.storage_shards = config.storage_shards;
   options.command_log_path = config.dir + "/commandlog";
   options.command_log_flush_ms = config.flush_ms;
   options.background_merge = false;  // merges run synchronously below
@@ -163,6 +167,7 @@ int main(int argc, char** argv) {
                  "usage: crash_torture_worker --dir=DIR [--accounts=N] "
                  "[--txns=N] [--ckpt_every=N] [--merge_every=N] "
                  "[--algo=calc|pcalc] [--capture_threads=N] "
+                 "[--storage_shards=N] "
                  "[--flush_ms=N] [--seed=N] [--txn_sleep_us=N]\n");
     return 1;
   }
