@@ -381,16 +381,11 @@ void BM_SerializeBlock(benchmark::State& state) {
 BENCHMARK(BM_SerializeBlock)->Unit(benchmark::kMillisecond);
 
 void BM_WriterSyncVsAsync(benchmark::State& state) {
-  // Single-segment capture through the real writer stack with O_DIRECT
-  // (so the device genuinely blocks): Arg(0) = synchronous, Arg(1) =
-  // double-buffered async I/O thread.
+  // Single-segment capture through the real writer stack (buffered
+  // writes, the engine's default block size): Arg(0) = synchronous,
+  // Arg(1) = double-buffered async I/O thread.
   CheckpointWriterOptions options;
   options.async_io = state.range(0) != 0;
-  options.direct_io = true;
-  // One sealed block == one device write (the direct-I/O stage is
-  // 1 MiB): the capture thread can run a full write ahead instead of
-  // stalling a quarter of the way into the next block.
-  options.block_bytes = 1 << 20;
   std::string value(1000, 'v');
   constexpr uint64_t kEntries = 16000;
   std::string path = "/tmp/calcdb_bench_writer";
@@ -495,11 +490,6 @@ uint32_t Crc32cBulk(const void* data, size_t n, uint32_t seed) {
 double MeasureWriterMbps(bool async_io, const std::string& dir) {
   CheckpointWriterOptions options;
   options.async_io = async_io;
-  // O_DIRECT: writes genuinely block on the device, which is what the
-  // async I/O thread exists to overlap. Blocks sized to the direct-I/O
-  // stage so each handoff is exactly one device write.
-  options.direct_io = true;
-  options.block_bytes = 1 << 20;
   std::string value(1000, 'v');
   constexpr uint64_t kEntries = 48000;  // ~48 MB per pass
   const double payload_mb =

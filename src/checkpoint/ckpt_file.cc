@@ -15,6 +15,7 @@ namespace {
 constexpr char kMagic[8] = {'C', 'A', 'L', 'C', 'K', 'P', 'T', '1'};
 constexpr uint32_t kVersionCrc32 = 1;   ///< entry crc = CRC-32/ISO-HDLC
 constexpr uint32_t kVersionCrc32c = 2;  ///< entry crc = CRC-32C
+constexpr size_t kReadAheadBytes = 1 << 20;
 constexpr uint64_t kFooterKey = ~uint64_t{0};
 constexpr uint8_t kFooterFlags = 0xFF;
 constexpr uint8_t kTombstoneFlag = 0x01;
@@ -51,10 +52,7 @@ Status CheckpointFileWriter::Open(const std::string& path,
                                   CheckpointType type, uint64_t id,
                                   uint64_t vpoc_lsn,
                                   CheckpointWriterOptions options) {
-  WriterOpenOptions file_options;
-  file_options.budget = options.budget;
-  file_options.direct_io = options.direct_io;
-  CALCDB_RETURN_NOT_OK(writer_.Open(path, std::move(file_options)));
+  CALCDB_RETURN_NOT_OK(writer_.Open(path, options.budget));
   options_ = std::move(options);
   if (options_.block_bytes == 0) options_.block_bytes = 256 * 1024;
   count_ = 0;
@@ -73,10 +71,8 @@ Status CheckpointFileWriter::Open(const std::string& path,
   // it as torn, not corrupt.
   CALCDB_FAULT_POINT("ckpt_file.header");
   block_.append(kMagic, sizeof(kMagic));
-  uint32_t version = options_.checksum == ChecksumKind::kCrc32c
-                         ? kVersionCrc32c
-                         : kVersionCrc32;
-  block_.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  block_.append(reinterpret_cast<const char*>(&kVersionCrc32),
+                sizeof(kVersionCrc32));
   uint8_t t = static_cast<uint8_t>(type);
   block_.append(reinterpret_cast<const char*>(&t), sizeof(t));
   block_.append(reinterpret_cast<const char*>(&id), sizeof(id));
@@ -168,8 +164,8 @@ Status CheckpointFileWriter::Append(uint64_t key, std::string_view value) {
   uint32_t len = static_cast<uint32_t>(value.size());
   block_.append(reinterpret_cast<const char*>(&len), sizeof(len));
   block_.append(value.data(), value.size());
-  crc_ = ChecksumRun(options_.checksum, block_.data() + entry_start,
-                     block_.size() - entry_start, crc_);
+  crc_ = Crc32(block_.data() + entry_start, block_.size() - entry_start,
+               crc_);
   ++count_;
   if (block_.size() >= options_.block_bytes) return SealBlock();
   return Status::OK();
@@ -181,8 +177,8 @@ Status CheckpointFileWriter::AppendTombstone(uint64_t key) {
   block_.append(reinterpret_cast<const char*>(&key), sizeof(key));
   uint8_t flags = kTombstoneFlag;
   block_.append(reinterpret_cast<const char*>(&flags), sizeof(flags));
-  crc_ = ChecksumRun(options_.checksum, block_.data() + entry_start,
-                     block_.size() - entry_start, crc_);
+  crc_ = Crc32(block_.data() + entry_start, block_.size() - entry_start,
+               crc_);
   ++count_;
   if (block_.size() >= options_.block_bytes) return SealBlock();
   return Status::OK();
@@ -214,9 +210,8 @@ Status CheckpointFileWriter::Finish() {
   return writer_.Close();
 }
 
-Status CheckpointFileReader::Open(const std::string& path,
-                                  size_t read_ahead_bytes) {
-  CALCDB_RETURN_NOT_OK(reader_.Open(path, read_ahead_bytes));
+Status CheckpointFileReader::Open(const std::string& path) {
+  CALCDB_RETURN_NOT_OK(reader_.Open(path, kReadAheadBytes));
   path_ = path;
   char magic[8];
   CALCDB_RETURN_NOT_OK(reader_.ReadExact(magic, sizeof(magic)));

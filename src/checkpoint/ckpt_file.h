@@ -31,9 +31,9 @@ enum class CheckpointType : uint8_t {
 ///            count(u64) crc32(u32)   (crc over all entry bytes)
 ///
 /// version 1 checksums entry bytes with CRC-32/ISO-HDLC; version 2 is the
-/// same byte layout with CRC-32C (hardware-accelerated where the CPU has
-/// the instruction). The reader dispatches on the header version, so both
-/// generations of files verify.
+/// same byte layout with CRC-32C. The writer produces only version 1; the
+/// reader dispatches on the header version, so files of both versions
+/// still load.
 ///
 /// Tombstone entries appear only in partial checkpoints; they record
 /// deletions so that merging partials does not resurrect dead keys.
@@ -43,10 +43,10 @@ struct CheckpointEntry {
   std::string value;
 };
 
-/// How a CheckpointFileWriter serializes and ships blocks. The default
-/// configuration reproduces the seed behavior bit-for-bit: synchronous
-/// writes, CRC-32 (format v1), 256 KiB serialization blocks (the block
-/// size never changes the byte stream, only the append granularity).
+/// How a CheckpointFileWriter ships blocks. No setting changes the
+/// byte stream: the writer always produces format v1 (CRC-32); the
+/// block size and the I/O thread only change how the bytes reach the
+/// file.
 struct CheckpointWriterOptions {
   /// Shared bandwidth budget; null means unthrottled.
   std::shared_ptr<TokenBucket> budget;
@@ -61,14 +61,6 @@ struct CheckpointWriterOptions {
   /// capture thread serializes into one while the I/O thread drains the
   /// other through the token bucket. Errors surface from Append/Finish.
   bool async_io = false;
-
-  /// Open the underlying file with O_DIRECT (see WriterOpenOptions) so
-  /// block writes genuinely block in the device — what the async mode
-  /// overlaps against on machines where buffered writes never stall.
-  bool direct_io = false;
-
-  /// kCrc32 writes format v1 (seed-compatible); kCrc32c writes v2.
-  ChecksumKind checksum = ChecksumKind::kCrc32;
 };
 
 /// Sequential checkpoint writer. Entries are serialized into large blocks
@@ -154,11 +146,9 @@ class CheckpointFileReader {
   CheckpointFileReader(const CheckpointFileReader&) = delete;
   CheckpointFileReader& operator=(const CheckpointFileReader&) = delete;
 
-  /// A nonzero `read_ahead_bytes` sizes the underlying read-ahead buffer
-  /// so entry scans issue large sequential read(2) calls instead of one
-  /// syscall per BUFSIZ (see SequentialFileReader::Open).
-  [[nodiscard]] Status Open(const std::string& path,
-                            size_t read_ahead_bytes = 0);
+  /// Entry scans read through a 1 MiB read-ahead buffer, so they issue
+  /// large sequential read(2) calls instead of one per BUFSIZ.
+  [[nodiscard]] Status Open(const std::string& path);
 
   CheckpointType type() const { return type_; }
   uint64_t id() const { return id_; }

@@ -4,7 +4,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include <fcntl.h>
@@ -17,6 +19,17 @@
 
 namespace calcdb {
 
+namespace {
+
+// IOError naming the failed step, the file and errno. Build it before
+// any cleanup call that may overwrite errno.
+Status FileError(const char* op, const std::string& path) {
+  return Status::IOError(std::string(op) + " " + path + ": " +
+                         std::strerror(errno));
+}
+
+}  // namespace
+
 CheckpointStorage::CheckpointStorage(std::string dir,
                                      uint64_t disk_bytes_per_sec)
     : dir_(std::move(dir)), disk_bytes_per_sec_(disk_bytes_per_sec) {
@@ -28,7 +41,7 @@ CheckpointStorage::CheckpointStorage(std::string dir,
 
 Status CheckpointStorage::Init() {
   if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError("mkdir " + dir_ + ": " + std::strerror(errno));
+    return FileError("mkdir", dir_);
   }
   return Status::OK();
 }
@@ -129,7 +142,7 @@ Status CheckpointStorage::ReplaceCollapsed(
 Status CheckpointStorage::PersistManifest() const {
   std::string tmp = ManifestPath() + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return Status::IOError("open manifest tmp");
+  if (f == nullptr) return FileError("open", tmp);
   std::vector<CheckpointInfo> snapshot = List();
   for (const CheckpointInfo& c : snapshot) {
     // Single-file checkpoints keep the legacy 5-field line byte-for-byte;
@@ -157,17 +170,20 @@ Status CheckpointStorage::PersistManifest() const {
     std::remove(tmp.c_str());
     return fault_st;
   }
-  if (std::fflush(f) != 0) {
+  // ferror too: a write that failed inside an earlier fprintf leaves
+  // the error flag set even when this final flush succeeds.
+  if (std::fflush(f) != 0 || std::ferror(f) != 0) {
+    Status st = FileError("write", tmp);
     std::fclose(f);
-    return Status::IOError("flush manifest");
+    return st;
   }
   // fsync before the rename: otherwise the rename can survive a power
   // cut while the manifest *contents* do not, which would surface old
   // bytes under the new name.
   if (::fsync(::fileno(f)) != 0) {
+    Status st = FileError("fsync", tmp);
     std::fclose(f);
-    return Status::IOError("fsync manifest: " +
-                           std::string(std::strerror(errno)));
+    return st;
   }
   std::fclose(f);
   fault_st = CALCDB_FAULT_STATUS("manifest.rename");
@@ -176,25 +192,30 @@ Status CheckpointStorage::PersistManifest() const {
     return fault_st;
   }
   if (std::rename(tmp.c_str(), ManifestPath().c_str()) != 0) {
-    return Status::IOError("rename manifest: " +
-                           std::string(std::strerror(errno)));
+    return FileError("rename", tmp + " to " + ManifestPath());
   }
   return Status::OK();
 }
 
 Status CheckpointStorage::LoadManifest() {
-  std::FILE* f = std::fopen(ManifestPath().c_str(), "r");
-  if (f == nullptr) return Status::NotFound("no manifest in " + dir_);
+  std::ifstream f(ManifestPath());
+  if (!f.is_open()) return Status::NotFound("no manifest in " + dir_);
   std::vector<CheckpointInfo> loaded;
-  char line[8192];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
+  // Lines are read whole: a segmented checkpoint's line grows with its
+  // segment count and the directory's length, without bound.
+  std::string line;
+  while (std::getline(f, line)) {
     CheckpointInfo c;
     unsigned long long id, vpoc, entries;
     unsigned type;
     std::istringstream in(line);
     if (!(in >> id >> type >> vpoc >> entries >> c.path)) {
-      std::fclose(f);
       return Status::Corruption("bad manifest line");
+    }
+    if (type != static_cast<unsigned>(CheckpointType::kFull) &&
+        type != static_cast<unsigned>(CheckpointType::kPartial)) {
+      return Status::Corruption("bad manifest checkpoint type " +
+                                std::to_string(type));
     }
     // Optional segmented-checkpoint suffix: segment count + paths.
     size_t nsegs = 0;
@@ -202,7 +223,6 @@ Status CheckpointStorage::LoadManifest() {
       for (size_t i = 0; i < nsegs; ++i) {
         std::string seg;
         if (!(in >> seg)) {
-          std::fclose(f);
           return Status::Corruption("bad manifest segment list");
         }
         c.segments.push_back(std::move(seg));
@@ -214,7 +234,7 @@ Status CheckpointStorage::LoadManifest() {
     c.num_entries = entries;
     loaded.push_back(c);
   }
-  std::fclose(f);
+  if (f.bad()) return FileError("read", ManifestPath());
   SpinLatchGuard guard(latch_);
   checkpoints_ = std::move(loaded);
   uint64_t max_id = 0;

@@ -108,9 +108,9 @@ class CheckpointStorage {
     return write_budget_;
   }
 
-  /// Installs the writer configuration (block size, async/direct I/O,
-  /// checksum kind) every checkpoint writer opened against this storage
-  /// should use. The options' budget field is overridden with
+  /// Installs the writer configuration (block size, async I/O) every
+  /// checkpoint writer opened against this storage should use. The
+  /// options' budget field is overridden with
   /// write_budget() — the aggregate cap is not opt-out. Call before any
   /// capture starts (Database does this at construction).
   void ConfigureWriters(CheckpointWriterOptions options) {
@@ -124,13 +124,6 @@ class CheckpointStorage {
     return writer_options_;
   }
 
-  /// Read-ahead buffer size checkpoint readers (recovery, merger) should
-  /// open with; see SequentialFileReader::Open.
-  void ConfigureReaders(size_t read_ahead_bytes) {
-    read_ahead_bytes_ = read_ahead_bytes;
-  }
-  size_t read_ahead_bytes() const { return read_ahead_bytes_; }
-
  private:
   std::string ManifestPath() const { return dir_ + "/MANIFEST"; }
 
@@ -138,7 +131,6 @@ class CheckpointStorage {
   uint64_t disk_bytes_per_sec_;
   std::shared_ptr<TokenBucket> write_budget_;
   CheckpointWriterOptions writer_options_;
-  size_t read_ahead_bytes_ = 1 << 20;
   std::atomic<uint64_t> next_id_{0};
 
   mutable SpinLatch latch_;

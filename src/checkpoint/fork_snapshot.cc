@@ -223,8 +223,7 @@ Status ForkSnapshotCheckpointer::Capture(CheckpointInfo* info,
 
   // Entry count lives in the file; read it back for the manifest.
   CheckpointFileReader reader;
-  CALCDB_RETURN_NOT_OK(
-      reader.Open(path, engine_.ckpt_storage->read_ahead_bytes()));
+  CALCDB_RETURN_NOT_OK(reader.Open(path));
   CALCDB_RETURN_NOT_OK(reader.ReadAll([&](const CheckpointEntry&) -> Status {
     ++info->num_entries;
     return Status::OK();

@@ -34,8 +34,7 @@ Status CheckpointMerger::CollapseOnce(size_t max_partials,
     // chain.
     for (const std::string& file : info.files()) {
       CheckpointFileReader reader;
-      CALCDB_RETURN_NOT_OK(
-          reader.Open(file, storage_->read_ahead_bytes()));
+      CALCDB_RETURN_NOT_OK(reader.Open(file));
       CALCDB_RETURN_NOT_OK(
           reader.ReadAll([&](const CheckpointEntry& entry) -> Status {
             if (entry.tombstone) {

@@ -22,6 +22,18 @@
 
 namespace calcdb {
 
+namespace {
+
+// Lock-table stripes; with several storage shards they split into
+// per-shard arrays of roughly kLockStripes / shards each (floored at 64).
+constexpr size_t kLockStripes = 1 << 16;
+
+// Recovery decodes each command-log generation through one reused
+// buffer of this many bytes.
+constexpr size_t kLogScanBlockBytes = 1 << 20;
+
+}  // namespace
+
 const char* AlgorithmName(CheckpointAlgorithm algo) {
   switch (algo) {
     case CheckpointAlgorithm::kNone:
@@ -136,14 +148,11 @@ Database::Database(const Options& options)
       store_(new ShardedStore(options.max_records,
                               ResolvedStorageShards(options), pool_.get())),
       ckpt_storage_(options.checkpoint_dir, options.disk_bytes_per_sec),
-      lock_manager_(options.lock_stripes, store_->num_shards()) {
+      lock_manager_(kLockStripes, store_->num_shards()) {
   CheckpointWriterOptions writer_options;
   writer_options.block_bytes = options.ckpt_block_bytes;
   writer_options.async_io = ResolvedAsyncIo(options);
-  writer_options.direct_io = options.ckpt_direct_io;
-  writer_options.checksum = options.ckpt_checksum;
   ckpt_storage_.ConfigureWriters(std::move(writer_options));
-  ckpt_storage_.ConfigureReaders(options.ckpt_read_ahead_bytes);
 }
 
 Database::~Database() {
@@ -269,7 +278,7 @@ Status Database::RecoverFromCommandLog(RecoveryStats* stats) {
       options_.command_log_path, &generations));
   return RecoveryManager::ReplayLogGenerations(
       generations, registry_, store_.get(), s,
-      ResolvedReplayThreads(options_), options_.log_read_ahead_bytes);
+      ResolvedReplayThreads(options_), kLogScanBlockBytes);
 }
 
 Status Database::WriteBaseCheckpoint() {

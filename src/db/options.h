@@ -6,7 +6,6 @@
 #include <string>
 
 #include "checkpoint/dirty_tracker.h"
-#include "util/crc32.h"
 
 namespace calcdb {
 
@@ -62,11 +61,6 @@ struct Options {
   /// the CALCDB_STORAGE_SHARDS environment variable if set, else 1.
   int storage_shards = 0;
 
-  /// Lock-table stripes for the deadlock-free 2PL lock manager. With
-  /// storage_shards > 1 the stripes split into per-shard arrays of
-  /// roughly lock_stripes / storage_shards each (floored at 64).
-  size_t lock_stripes = 1 << 16;
-
   /// Size of the capture job's worker pool, for every algorithm, and
   /// nothing else: the files follow `storage_shards` (one file per
   /// shard), with min(capture_threads, shards) workers writing them and
@@ -89,23 +83,6 @@ struct Options {
   /// forces off.
   int ckpt_async_io = 0;
 
-  /// Open checkpoint files with O_DIRECT so block writes bypass the page
-  /// cache and genuinely block in the device — the mode where async I/O
-  /// pays off even on few cores (buffered writes rarely stall). Falls
-  /// back to buffered I/O on filesystems without O_DIRECT.
-  bool ckpt_direct_io = false;
-
-  /// Checksum for newly written checkpoint files. kCrc32 writes format
-  /// v1 (seed-compatible bytes); kCrc32c writes format v2 and uses the
-  /// hardware CRC instruction where the CPU has one. Readers accept both
-  /// regardless of this setting.
-  ChecksumKind ckpt_checksum = ChecksumKind::kCrc32;
-
-  /// Read-ahead buffer for checkpoint readers (recovery, merger): entry
-  /// scans issue one read(2) per this many bytes instead of one per
-  /// libc BUFSIZ. 0 keeps the libc default buffer.
-  size_t ckpt_read_ahead_bytes = 1 << 20;
-
   /// Recovery checkpoint-load worker threads. Segments of one checkpoint
   /// are loaded concurrently (they hold disjoint keys); checkpoints still
   /// apply in chain order. 0 means auto: CALCDB_RECOVERY_THREADS if set,
@@ -120,12 +97,6 @@ struct Options {
   /// strictly-serial replay loop. 0 means auto: the
   /// CALCDB_REPLAY_THREADS environment variable if set, else 1.
   int replay_threads = 0;
-
-  /// Scan block size for command-log generation decode during recovery:
-  /// the frame decoder (log/log_reader.h) reads each generation through
-  /// one reused buffer of this many bytes. 0 selects the decoder's
-  /// default (64 KiB).
-  size_t log_read_ahead_bytes = 1 << 20;
 
   /// Pre-allocate/recycle stable-record memory from a pool (paper §5.1.6).
   bool use_value_pool = true;

@@ -118,6 +118,50 @@ void EventRing::Reset() {
   head_.store(0, std::memory_order_relaxed);
 }
 
+namespace {
+
+struct SiteRegistry {
+  SpinLatch latch;
+  std::vector<EventSite*> sites CALCDB_GUARDED_BY(latch);
+};
+
+SiteRegistry& Sites() {
+  // Leaked: sites in other translation units' statics may unregister
+  // during exit after this one would have been destroyed.
+  static SiteRegistry* registry = new SiteRegistry();
+  return *registry;
+}
+
+}  // namespace
+
+EventSite::EventSite(uint32_t burst, uint32_t refill_per_sec)
+    : burst_(burst > 0 ? burst : 1), per_sec_(refill_per_sec) {
+  SiteRegistry& registry = Sites();
+  SpinLatchGuard guard(registry.latch);
+  registry.sites.push_back(this);
+}
+
+EventSite::~EventSite() {
+  SiteRegistry& registry = Sites();
+  SpinLatchGuard guard(registry.latch);
+  std::vector<EventSite*>& sites = registry.sites;
+  sites.erase(std::find(sites.begin(), sites.end(), this));
+}
+
+void EventSite::Reset() {
+  SpinLatchGuard guard(latch_);
+  tokens_milli_ = -1;
+  last_refill_us_ = -1;
+  folded_ = 0;
+  suppressed_total_.store(0, std::memory_order_relaxed);
+}
+
+void EventSite::ResetAll() {
+  SiteRegistry& registry = Sites();
+  SpinLatchGuard guard(registry.latch);
+  for (EventSite* site : registry.sites) site->Reset();
+}
+
 bool EventSite::Admit(int64_t now_us, uint64_t* folded) {
   SpinLatchGuard guard(latch_);
   if (last_refill_us_ < 0) {
@@ -289,6 +333,7 @@ bool EventLog::ExportJsonl(const std::string& path) const {
 
 void EventLog::ResetForTest() {
   ring_.Reset();
+  EventSite::ResetAll();
   suppressed_.store(0, std::memory_order_relaxed);
   SetSinkPath("");
   enabled_.store(true, std::memory_order_relaxed);

@@ -129,10 +129,14 @@ class EventRing {
 /// so a chatty site throttles itself without silencing others; the
 /// suppressed count is folded into the next admitted event so nothing
 /// disappears without a trace.
+///
+/// Every live site is listed in a process-wide registry, so
+/// EventLog::ResetForTest can refill the function-local statics that
+/// no caller can reach by name.
 class EventSite {
  public:
-  EventSite(uint32_t burst, uint32_t refill_per_sec)
-      : burst_(burst > 0 ? burst : 1), per_sec_(refill_per_sec) {}
+  EventSite(uint32_t burst, uint32_t refill_per_sec);
+  ~EventSite();
   EventSite(const EventSite&) = delete;
   EventSite& operator=(const EventSite&) = delete;
 
@@ -145,6 +149,12 @@ class EventSite {
   uint64_t suppressed_total() const {
     return suppressed_total_.load(std::memory_order_relaxed);
   }
+
+  /// Back to the never-touched state: a full burst, nothing folded.
+  void Reset();
+
+  /// Reset() on every live site (EventLog::ResetForTest).
+  static void ResetAll();
 
  private:
   const uint32_t burst_;
@@ -213,7 +223,8 @@ class EventLog {
   /// tools/events_schema.json).
   static std::string EventToJson(const Event& ev);
 
-  /// Clears the ring and counters, disables the sink (test affordance).
+  /// Clears the ring and counters, refills every EventSite, disables
+  /// the sink (test affordance).
   void ResetForTest();
 
  private:

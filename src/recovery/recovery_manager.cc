@@ -55,20 +55,18 @@ Status ForEachFileParallel(
 /// Reads every entry and the footer of one checkpoint file without
 /// applying anything. A short read (IOError) means the file is torn; a
 /// CRC / count mismatch means Corruption.
-Status ValidateCheckpointFile(const std::string& path,
-                              size_t read_ahead_bytes) {
+Status ValidateCheckpointFile(const std::string& path) {
   CheckpointFileReader reader;
-  CALCDB_RETURN_NOT_OK(reader.Open(path, read_ahead_bytes));
+  CALCDB_RETURN_NOT_OK(reader.Open(path));
   return reader.ReadAll(
       [](const CheckpointEntry&) -> Status { return Status::OK(); });
 }
 
 /// Applies one (already validated) checkpoint file into the store.
-Status ApplyCheckpointFile(const std::string& path,
-                           size_t read_ahead_bytes, ShardedStore* store,
+Status ApplyCheckpointFile(const std::string& path, ShardedStore* store,
                            std::atomic<uint64_t>* entries_applied) {
   CheckpointFileReader reader;
-  CALCDB_RETURN_NOT_OK(reader.Open(path, read_ahead_bytes));
+  CALCDB_RETURN_NOT_OK(reader.Open(path));
   uint64_t applied = 0;
   Status st = reader.ReadAll([&](const CheckpointEntry& entry) -> Status {
     ++applied;
@@ -110,10 +108,7 @@ Status RecoveryManager::LoadCheckpoints(CheckpointStorage* storage,
     bool torn = false;
     for (const CheckpointInfo& info : chain) {
       Status st = ForEachFileParallel(
-          info.files(), load_threads, [&](const std::string& path) {
-            return ValidateCheckpointFile(path,
-                                          storage->read_ahead_bytes());
-          });
+          info.files(), load_threads, ValidateCheckpointFile);
       if (st.ok()) continue;
       if (st.IsCorruption()) return st;  // damage: fail loudly
       // Short read / missing file: a crash artifact — fall back.
@@ -152,8 +147,7 @@ Status RecoveryManager::LoadCheckpoints(CheckpointStorage* storage,
     std::vector<std::string> files = info.files();
     CALCDB_RETURN_NOT_OK(ForEachFileParallel(
         files, load_threads, [&](const std::string& path) -> Status {
-          return ApplyCheckpointFile(path, storage->read_ahead_bytes(),
-                                     store, &entries_applied);
+          return ApplyCheckpointFile(path, store, &entries_applied);
         }));
     stats->segments_loaded += files.size();
     CALCDB_COUNTER_ADD("calcdb.recovery.segments_loaded", files.size());

@@ -1,5 +1,6 @@
 #include "util/throttled_file.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -16,24 +17,11 @@ namespace calcdb {
 
 namespace {
 
-// Appends below this size are coalesced into the staging buffer; at or
-// above it they flush the stage and go straight to the file (no copy).
-constexpr size_t kCoalesceBytes = 4096;
-
-// Staging capacity: one token charge + one stdio write per this many
-// coalesced bytes. Matches the Consume() chunk size.
-constexpr size_t kStageBytes = 64 * 1024;
-
-// Direct-I/O alignment (covers 512B and 4KiB logical block devices) and
-// staging capacity. The larger stage keeps each write(2) long enough to
-// genuinely block in the device, which is what the async checkpoint
-// writer overlaps against.
-constexpr size_t kDirectAlign = 4096;
-constexpr size_t kDirectStageBytes = 1024 * 1024;
-
-// Token charges are chunked so one large drain cannot overdraw the
-// bucket in a single step.
-constexpr size_t kConsumeChunk = 64 * 1024;
+// Staging capacity, and the size of every token charge and of every
+// write(2) but a drain's last: appends are cut into chunks of this size,
+// so one large append cannot overdraw the bucket in a single step and a
+// stream of small ones costs one charge and one write per chunk.
+constexpr size_t kChunkBytes = 64 * 1024;
 
 }  // namespace
 
@@ -94,76 +82,29 @@ ThrottledFileWriter::~ThrottledFileWriter() {
 
 Status ThrottledFileWriter::Open(const std::string& path,
                                  uint64_t max_bytes_per_sec) {
-  WriterOpenOptions options;
+  std::shared_ptr<TokenBucket> budget;
   if (max_bytes_per_sec != 0) {
-    options.budget = std::make_shared<TokenBucket>(max_bytes_per_sec);
+    budget = std::make_shared<TokenBucket>(max_bytes_per_sec);
   }
-  return Open(path, std::move(options));
+  return Open(path, std::move(budget));
 }
 
 Status ThrottledFileWriter::Open(const std::string& path,
                                  std::shared_ptr<TokenBucket> budget,
                                  bool exclusive) {
-  WriterOpenOptions options;
-  options.budget = std::move(budget);
-  options.exclusive = exclusive;
-  return Open(path, std::move(options));
-}
-
-Status ThrottledFileWriter::Open(const std::string& path,
-                                 WriterOpenOptions options) {
   if (is_open()) return Status::InvalidArgument("already open");
-  bool direct = options.direct_io;
-  if (direct) {
-    int flags = O_WRONLY | O_CREAT | O_TRUNC | O_DIRECT;
-    if (options.exclusive) flags |= O_EXCL;
-    fd_ = ::open(path.c_str(), flags, 0644);
-    if (fd_ < 0 && errno == EINVAL) {
-      // Filesystem without O_DIRECT support (tmpfs): fall back to the
-      // buffered path rather than failing the checkpoint.
-      direct = false;
-    } else if (fd_ < 0) {
-      return Status::IOError("open " + path + ": " + std::strerror(errno));
-    }
+  int flags = O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC;
+  if (exclusive) flags |= O_EXCL;
+  fd_ = ::open(path.c_str(), flags, 0666);
+  if (fd_ < 0) {
+    return Status::IOError("open " + path + ": " + std::strerror(errno));
   }
-  if (!direct) {
-    // "x" is C11's O_EXCL: create the file, failing if it already exists.
-    file_ = std::fopen(path.c_str(), options.exclusive ? "wbx" : "wb");
-    if (file_ == nullptr) {
-      return Status::IOError("open " + path + ": " + std::strerror(errno));
-    }
-  }
-  stage_cap_ = direct ? kDirectStageBytes : kStageBytes;
-  if (direct) {
-    void* mem = nullptr;
-    if (posix_memalign(&mem, kDirectAlign, stage_cap_) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return Status::IOError("posix_memalign for " + path);
-    }
-    stage_ = static_cast<uint8_t*>(mem);
-  } else {
-    stage_ = static_cast<uint8_t*>(std::malloc(stage_cap_));
-    if (stage_ == nullptr) {
-      std::fclose(file_);
-      file_ = nullptr;
-      return Status::IOError("malloc stage for " + path);
-    }
-  }
+  if (stage_ == nullptr) stage_.reset(new uint8_t[kChunkBytes]);
   stage_len_ = 0;
   path_ = path;
   bytes_written_ = 0;
-  budget_ = std::move(options.budget);
+  budget_ = std::move(budget);
   return Status::OK();
-}
-
-void ThrottledFileWriter::ConsumeChunked(size_t n) {
-  if (budget_ == nullptr) return;
-  while (n > 0) {
-    size_t chunk = n < kConsumeChunk ? n : kConsumeChunk;
-    budget_->Consume(chunk);
-    n -= chunk;
-  }
 }
 
 Status ThrottledFileWriter::WriteFd(const uint8_t* p, size_t n) {
@@ -180,51 +121,44 @@ Status ThrottledFileWriter::WriteFd(const uint8_t* p, size_t n) {
   return Status::OK();
 }
 
-Status ThrottledFileWriter::DrainStage() {
-  if (stage_len_ == 0) return Status::OK();
-  size_t n = stage_len_;
-  stage_len_ = 0;
-  ConsumeChunked(n);
-  if (fd_ >= 0) return WriteFd(stage_, n);
-  if (std::fwrite(stage_, 1, n, file_) != n) {
-    return Status::IOError("write " + path_ + ": " + std::strerror(errno));
+Status ThrottledFileWriter::WriteThrottled(const uint8_t* p, size_t n) {
+  while (n > 0) {
+    size_t chunk = n < kChunkBytes ? n : kChunkBytes;
+    if (budget_ != nullptr) budget_->Consume(chunk);
+    CALCDB_RETURN_NOT_OK(WriteFd(p, chunk));
+    p += chunk;
+    n -= chunk;
   }
   return Status::OK();
+}
+
+Status ThrottledFileWriter::DrainStage() {
+  size_t n = stage_len_;
+  stage_len_ = 0;
+  return WriteThrottled(stage_.get(), n);
 }
 
 Status ThrottledFileWriter::Append(const void* data, size_t n) {
   if (!is_open()) return Status::InvalidArgument("not open");
   const auto* p = static_cast<const uint8_t*>(data);
-  if (fd_ >= 0 || n < kCoalesceBytes) {
-    // Coalesce through the stage. Direct mode always stages: write(2)
-    // under O_DIRECT needs aligned buffers and lengths, and the stage is
-    // the aligned memory.
-    size_t remaining = n;
-    while (remaining > 0) {
-      size_t room = stage_cap_ - stage_len_;
-      size_t take = remaining < room ? remaining : room;
-      std::memcpy(stage_ + stage_len_, p, take);
-      stage_len_ += take;
-      p += take;
-      remaining -= take;
-      if (stage_len_ == stage_cap_) CALCDB_RETURN_NOT_OK(DrainStage());
-    }
-    bytes_written_ += n;
-    return Status::OK();
+  size_t left = n;
+  if (stage_len_ > 0 || left < kChunkBytes) {
+    // Top up the stage first, so a write(2) is only ever short when a
+    // Flush/Sync/Close drains it.
+    size_t take = std::min(left, kChunkBytes - stage_len_);
+    std::memcpy(stage_.get() + stage_len_, p, take);
+    stage_len_ += take;
+    p += take;
+    left -= take;
+    if (stage_len_ == kChunkBytes) CALCDB_RETURN_NOT_OK(DrainStage());
   }
-  // Large buffered append: drain the stage to preserve byte order, then
-  // write straight from the caller's memory, throttling in chunks.
-  CALCDB_RETURN_NOT_OK(DrainStage());
-  size_t remaining = n;
-  while (remaining > 0) {
-    size_t chunk = remaining < kConsumeChunk ? remaining : kConsumeChunk;
-    if (budget_ != nullptr) budget_->Consume(chunk);
-    if (std::fwrite(p, 1, chunk, file_) != chunk) {
-      return Status::IOError("write " + path_ + ": " +
-                             std::strerror(errno));
-    }
-    p += chunk;
-    remaining -= chunk;
+  // Whole chunks go straight from the caller's memory; the tail waits
+  // in the stage, which is empty whenever bytes remain.
+  size_t whole = left - left % kChunkBytes;
+  CALCDB_RETURN_NOT_OK(WriteThrottled(p, whole));
+  if (left > whole) {
+    std::memcpy(stage_.get(), p + whole, left - whole);
+    stage_len_ = left - whole;
   }
   bytes_written_ += n;
   return Status::OK();
@@ -232,29 +166,12 @@ Status ThrottledFileWriter::Append(const void* data, size_t n) {
 
 Status ThrottledFileWriter::Flush() {
   if (!is_open()) return Status::InvalidArgument("not open");
-  if (fd_ >= 0) {
-    // Only an aligned prefix of the stage can be issued under O_DIRECT;
-    // keep the tail staged until Close() pads and trims it.
-    size_t aligned = stage_len_ & ~(kDirectAlign - 1);
-    if (aligned > 0) {
-      ConsumeChunked(aligned);
-      CALCDB_RETURN_NOT_OK(WriteFd(stage_, aligned));
-      std::memmove(stage_, stage_ + aligned, stage_len_ - aligned);
-      stage_len_ -= aligned;
-    }
-    return Status::OK();
-  }
-  CALCDB_RETURN_NOT_OK(DrainStage());
-  if (std::fflush(file_) != 0) {
-    return Status::IOError("flush " + path_ + ": " + std::strerror(errno));
-  }
-  return Status::OK();
+  return DrainStage();
 }
 
 Status ThrottledFileWriter::Sync() {
   CALCDB_RETURN_NOT_OK(Flush());
-  int fd = fd_ >= 0 ? fd_ : ::fileno(file_);
-  if (::fsync(fd) != 0) {
+  if (::fsync(fd_) != 0) {
     return Status::IOError("fsync " + path_ + ": " + std::strerror(errno));
   }
   return Status::OK();
@@ -262,45 +179,9 @@ Status ThrottledFileWriter::Sync() {
 
 Status ThrottledFileWriter::Close() {
   if (!is_open()) return Status::OK();
-  Status st = Status::OK();
-  if (fd_ >= 0) {
-    if (stage_len_ > 0) {
-      // Pad the tail to alignment, write it, then trim the file back to
-      // its logical length. Tokens are charged for payload bytes only.
-      size_t logical = stage_len_;
-      size_t padded = (logical + kDirectAlign - 1) & ~(kDirectAlign - 1);
-      std::memset(stage_ + logical, 0, padded - logical);
-      stage_len_ = 0;
-      ConsumeChunked(logical);
-      st = WriteFd(stage_, padded);
-    }
-    auto logical_size = static_cast<off_t>(bytes_written_);
-    if (st.ok() && ::ftruncate(fd_, logical_size) != 0) {
-      st = Status::IOError("ftruncate " + path_ + ": " +
-                           std::strerror(errno));
-    }
-    if (st.ok() && ::fsync(fd_) != 0) {
-      st = Status::IOError("fsync " + path_ + ": " + std::strerror(errno));
-    }
-    ::close(fd_);
-    fd_ = -1;
-  } else {
-    st = DrainStage();
-    if (st.ok() && std::fflush(file_) != 0) {
-      st = Status::IOError("flush " + path_ + ": " + std::strerror(errno));
-    }
-    if (st.ok()) {
-      if (::fsync(::fileno(file_)) != 0) {
-        st = Status::IOError("fsync " + path_ + ": " +
-                             std::strerror(errno));
-      }
-    }
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  std::free(stage_);
-  stage_ = nullptr;
-  stage_cap_ = 0;
+  Status st = Sync();
+  ::close(fd_);
+  fd_ = -1;
   stage_len_ = 0;
   return st;
 }

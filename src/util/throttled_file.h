@@ -42,7 +42,7 @@ class TokenBucket {
   /// Total bytes ever charged through Consume(), across all sharers and
   /// including unmetered buckets. Lets tests assert that writers charge
   /// each payload byte exactly once (no double-charge when small appends
-  /// are coalesced, no charge for direct-I/O tail padding).
+  /// are coalesced).
   uint64_t consumed() const {
     return consumed_.load(std::memory_order_relaxed);
   }
@@ -56,30 +56,6 @@ class TokenBucket {
   SpinLatch latch_;
   double tokens_ CALCDB_GUARDED_BY(latch_) = 0;
   int64_t last_refill_us_ CALCDB_GUARDED_BY(latch_) = 0;
-};
-
-/// How a ThrottledFileWriter opens its file. The two-argument Open
-/// overloads cover the common cases; this struct is for callers that
-/// need the full set (the checkpoint fast path).
-struct WriterOpenOptions {
-  /// Shared bandwidth budget; null means unthrottled.
-  std::shared_ptr<TokenBucket> budget;
-
-  /// Fail if the file already exists (O_CREAT|O_EXCL semantics) instead
-  /// of truncating it — the command-log streamer's guarantee that an
-  /// existing generation can never be clobbered.
-  bool exclusive = false;
-
-  /// Bypass the page cache with O_DIRECT. Appends are staged into an
-  /// aligned buffer and issued as large aligned write(2) calls that
-  /// genuinely block until the device accepts them — which is what lets
-  /// an async checkpoint writer overlap serialization with storage even
-  /// on a single core (buffered writes just memcpy into the page cache
-  /// and return). The unaligned tail is padded, written, and trimmed
-  /// back with ftruncate at Close(); Sync() only covers the aligned
-  /// prefix, so the durability barrier in this mode is Close(). Falls
-  /// back to buffered I/O when the filesystem rejects O_DIRECT (tmpfs).
-  bool direct_io = false;
 };
 
 /// A buffered sequential file writer with an optional token-bucket
@@ -97,10 +73,11 @@ struct WriterOpenOptions {
 /// the configured rate caps their combined output (this is how parallel
 /// checkpoint segment writers keep `--ckpt_write_mb_s` an aggregate cap).
 ///
-/// Appends below an internal threshold are coalesced into a staging
-/// buffer and charged against the budget once, when the buffer drains —
-/// so a record serialized as four tiny appends costs one token charge
-/// and one stdio write, not four.
+/// Output leaves in 64 KiB chunks, each charged against the budget just
+/// before its write(2): small appends coalesce in a staging buffer (a
+/// record serialized as four tiny appends costs no charge and no write
+/// of its own), and whole chunks of a large append go straight from the
+/// caller's memory. Only Flush/Sync/Close issue a shorter write.
 class ThrottledFileWriter {
  public:
   ThrottledFileWriter() = default;
@@ -116,53 +93,47 @@ class ThrottledFileWriter {
 
   /// Opens (creates/truncates) `path`, drawing bandwidth from `budget`,
   /// which may be shared with other writers. A null budget means
-  /// unthrottled.
+  /// unthrottled. `exclusive` fails the open if the file already exists
+  /// (O_CREAT|O_EXCL) instead of truncating it — the command-log
+  /// streamer's guarantee that an existing generation is never
+  /// clobbered.
   [[nodiscard]] Status Open(const std::string& path,
                             std::shared_ptr<TokenBucket> budget,
                             bool exclusive = false);
 
-  /// Full-control open; see WriterOpenOptions.
-  [[nodiscard]] Status Open(const std::string& path,
-                            WriterOpenOptions options);
-
   /// Appends `n` bytes, blocking as needed to respect the bandwidth cap.
   [[nodiscard]] Status Append(const void* data, size_t n);
 
-  /// Drains the staging buffer and flushes buffered data to the OS. In
-  /// direct mode only the aligned prefix of the stage can be issued; the
-  /// tail drains at Close().
+  /// Drains the staging buffer to the OS.
   [[nodiscard]] Status Flush();
 
   /// Flushes and fsyncs, keeping the file open: the durability barrier
-  /// the command-log streamer issues after every batch. (In direct mode
-  /// the unaligned tail is not yet on the device — use Close().)
+  /// the command-log streamer issues after every batch.
   [[nodiscard]] Status Sync();
 
   /// Flushes, fsyncs and closes. Safe to call twice.
   [[nodiscard]] Status Close();
 
-  /// Logical bytes accepted by Append() (excludes direct-I/O padding).
+  /// Bytes accepted by Append().
   uint64_t bytes_written() const { return bytes_written_; }
-  bool is_open() const { return file_ != nullptr || fd_ >= 0; }
+  bool is_open() const { return fd_ >= 0; }
 
  private:
-  // Charges the budget in <=64KiB chunks so large drains do not overdraw
-  // the bucket in one go (keeps the emitted rate smooth at fine scales).
-  void ConsumeChunked(size_t n);
-  // Writes stage_[0..stage_len_) out (charging tokens) and resets it. In
-  // direct mode the stage is only ever full here, hence aligned.
+  // Writes p[0..n) to the file in <=64KiB chunks, charging the budget
+  // for each chunk before its write so large drains neither overdraw the
+  // bucket in one go nor burst ahead of it.
+  [[nodiscard]] Status WriteThrottled(const uint8_t* p, size_t n);
+  // Writes stage_[0..stage_len_) out and resets it.
   [[nodiscard]] Status DrainStage();
-  // Raw fd write loop handling EINTR and short writes (direct mode).
+  // Raw fd write loop handling EINTR and short writes.
   [[nodiscard]] Status WriteFd(const uint8_t* p, size_t n);
 
-  std::FILE* file_ = nullptr;
-  int fd_ = -1;  // direct mode only; -1 otherwise
+  int fd_ = -1;
   std::string path_;
   uint64_t bytes_written_ = 0;
   std::shared_ptr<TokenBucket> budget_;
 
-  uint8_t* stage_ = nullptr;  // aligned iff direct mode
-  size_t stage_cap_ = 0;
+  std::unique_ptr<uint8_t[]> stage_;
   size_t stage_len_ = 0;
 };
 

@@ -1,6 +1,7 @@
 // Tests for the checkpoint file format, the checkpoint storage/manifest,
 // the dirty-key trackers, and the partial-checkpoint merger.
 
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "checkpoint/merger.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
+#include "util/crc32.h"
 
 namespace calcdb {
 namespace {
@@ -193,7 +195,7 @@ TEST(CheckpointFileTest, AsyncWriterMatchesSyncByteForByte) {
   EXPECT_EQ(ReadFileBytes(async_path), sync_bytes);
 
   CheckpointFileReader reader;
-  ASSERT_TRUE(reader.Open(async_path, /*read_ahead_bytes=*/1 << 16).ok());
+  ASSERT_TRUE(reader.Open(async_path).ok());
   EXPECT_EQ(reader.id(), 9u);
   EXPECT_EQ(reader.vpoc_lsn(), 42u);
   uint64_t entries = 0;
@@ -207,11 +209,27 @@ TEST(CheckpointFileTest, AsyncWriterMatchesSyncByteForByte) {
 }
 
 TEST(CheckpointFileTest, Crc32cRoundtripAndCorruptionDetection) {
+  // The writer only produces v1; a v2 file is the same bytes with the
+  // version field set to 2 and the footer checksum taken with CRC-32C.
   TempDir dir;
   std::string path = dir.path() + "/ckpt_v2";
-  CheckpointWriterOptions options;
-  options.checksum = ChecksumKind::kCrc32c;
-  WriteFixture(path, options);
+  WriteFixture(path, CheckpointWriterOptions());
+  std::string bytes = ReadFileBytes(path);
+  constexpr size_t kHeaderBytes = 8 + 4 + 1 + 8 + 8;
+  constexpr size_t kFooterBytes = 8 + 1 + 8 + 4;
+  ASSERT_GT(bytes.size(), kHeaderBytes + kFooterBytes);
+  const uint32_t version = 2;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  const uint32_t crc = Crc32c(bytes.data() + kHeaderBytes,
+                              bytes.size() - kHeaderBytes - kFooterBytes);
+  std::memcpy(bytes.data() + bytes.size() - sizeof(crc), &crc,
+              sizeof(crc));
+  {
+    FILE* out = fopen(path.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    ASSERT_EQ(fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
+    fclose(out);
+  }
 
   CheckpointFileReader reader;
   ASSERT_TRUE(reader.Open(path).ok());
@@ -322,6 +340,52 @@ TEST(CheckpointStorageTest, ManifestPersistsAcrossInstances) {
   EXPECT_EQ(list[0].num_entries, 42u);
   // Ids continue after the reloaded maximum.
   EXPECT_EQ(reloaded.NextId(), 10u);
+}
+
+TEST(CheckpointStorageTest, ManifestLineLongerThan8KiBLoads) {
+  // A segmented checkpoint's manifest line grows with its segment count
+  // and the directory's length; ~300 segments under a long directory
+  // name make one line of well over 8 KiB.
+  TempDir dir;
+  std::string ckpt_dir = dir.path() + "/" + std::string(60, 'd');
+  CheckpointInfo info;
+  {
+    CheckpointStorage storage(ckpt_dir, 0);
+    ASSERT_TRUE(storage.Init().ok());
+    info.id = 3;
+    info.type = CheckpointType::kPartial;
+    info.vpoc_lsn = 99;
+    info.num_entries = 7;
+    info.path = storage.PathFor(info.id, info.type);
+    for (size_t seg = 0; seg < 300; ++seg) {
+      info.segments.push_back(
+          storage.SegmentPathFor(info.id, info.type, seg));
+    }
+    storage.Register(info);
+    ASSERT_TRUE(storage.PersistManifest().ok());
+  }
+  ASSERT_GT(testing_util::FileSize(ckpt_dir + "/MANIFEST"), 8192u);
+  CheckpointStorage reloaded(ckpt_dir, 0);
+  Status st = reloaded.LoadManifest();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  std::vector<CheckpointInfo> list = reloaded.List();
+  ASSERT_EQ(list.size(), 1u);
+  EXPECT_EQ(list[0].id, info.id);
+  EXPECT_EQ(list[0].type, info.type);
+  EXPECT_EQ(list[0].vpoc_lsn, info.vpoc_lsn);
+  EXPECT_EQ(list[0].num_entries, info.num_entries);
+  EXPECT_EQ(list[0].path, info.path);
+  EXPECT_EQ(list[0].segments, info.segments);
+}
+
+TEST(CheckpointStorageTest, ManifestUnknownTypeIsCorruption) {
+  TempDir dir;
+  FILE* f = fopen((dir.path() + "/MANIFEST").c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs("1 7 0 0 /x/ckpt_00000001.full\n", f);
+  fclose(f);
+  CheckpointStorage storage(dir.path(), 0);
+  EXPECT_TRUE(storage.LoadManifest().IsCorruption());
 }
 
 TEST(DirtyTrackerTest, MarkTestClearAllKinds) {

@@ -297,6 +297,24 @@ TEST(EventMacroTest, EmptyKvListIsValid) {
   EXPECT_EQ(events[0].severity, Severity::kError);
   EventLog::Global().ResetForTest();
 }
+void EmitFromOneSite() { CALCDB_EVENT("test.one_site", "test", ""); }
+
+// A macro site's bucket is a function-local static no test can name:
+// ResetForTest must refill it, or a test that runs after another test
+// drained a shared site (fault.injected, say) loses its events.
+TEST(EventLogTest, ResetForTestRefillsMacroSites) {
+  EventLog& log = EventLog::Global();
+  log.ResetForTest();
+  for (uint32_t i = 0; i < 2 * EventLog::kDefaultBurst; ++i) {
+    EmitFromOneSite();
+  }
+  ASSERT_GT(log.suppressed(), 0u) << "burst was not exhausted";
+  log.ResetForTest();
+  EmitFromOneSite();
+  EXPECT_EQ(log.emitted(), 1u);
+  EXPECT_EQ(log.suppressed(), 0u);
+  log.ResetForTest();
+}
 #else   // !CALCDB_OBS_ENABLED
 TEST(EventMacroTest, MacrosCompileAwayWithObservabilityOff) {
   EventLog::Global().ResetForTest();

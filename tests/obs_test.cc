@@ -65,16 +65,20 @@ TEST(MetricsRegistryTest, SnapshotUnderConcurrentWriters) {
   const int kThreads = 4;
   const uint64_t kPerThread = ScaledThreshold(50000, 1000);
   std::atomic<bool> stop{false};
+  // Set once some writer has registered both metrics: before that a
+  // snapshot is legitimately empty.
+  std::atomic<bool> registered{false};
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&registry, kPerThread, t] {
+    writers.emplace_back([&registry, &registered, kPerThread, t] {
       // Half the threads resolve names every time (exercising the
       // registry latch against snapshots), half cache the pointer
       // (the macro fast path).
       if (t % 2 == 0) {
         ShardedCounter* c = registry.GetCounter("calcdb.test.commits");
         Histogram* h = registry.GetHistogram("calcdb.test.lat_us");
+        registered.store(true, std::memory_order_release);
         for (uint64_t i = 0; i < kPerThread; ++i) {
           c->Add(1);
           h->Record(static_cast<int64_t>(i % 1000));
@@ -84,11 +88,15 @@ TEST(MetricsRegistryTest, SnapshotUnderConcurrentWriters) {
           registry.GetCounter("calcdb.test.commits")->Add(1);
           registry.GetHistogram("calcdb.test.lat_us")
               ->Record(static_cast<int64_t>(i % 1000));
+          if (i == 0) registered.store(true, std::memory_order_release);
         }
       }
     });
   }
-  std::thread snapshotter([&registry, &stop] {
+  std::thread snapshotter([&registry, &stop, &registered] {
+    while (!registered.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     while (!stop.load(std::memory_order_relaxed)) {
       std::string text = registry.SnapshotText();
       std::string json = registry.SnapshotJson({{"phase", "test"}});

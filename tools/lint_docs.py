@@ -34,11 +34,9 @@ import tempfile
 # Options fields may appear too (they are validated the same way).
 REQUIRED_OPTIONS = [
     "checkpoint_dir",
-    "ckpt_read_ahead_bytes",
     "recovery_threads",
     "replay_threads",
     "storage_shards",
-    "log_read_ahead_bytes",
     "command_log_path",
     "command_log_flush_ms",
 ]
