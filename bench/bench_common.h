@@ -100,7 +100,6 @@ struct RunConfig {
   bool base_checkpoint = false;     ///< write a base full ckpt pre-run
   bool background_merge = false;
   size_t merge_batch = 4;
-  DirtyTrackerKind tracker = DirtyTrackerKind::kBitVector;
   int capture_threads = 0;          ///< 0 = auto (env var, else 1)
   int storage_shards = 0;           ///< 0 = auto (env var, else 1)
   uint64_t seed = 42;
@@ -135,7 +134,6 @@ inline RunResult RunMicrobenchExperiment(const RunConfig& config,
   options.disk_bytes_per_sec = config.disk_bytes_per_sec;
   options.background_merge = config.background_merge;
   options.merge_batch = config.merge_batch;
-  options.dirty_tracker = config.tracker;
   options.capture_threads = config.capture_threads;
   options.storage_shards = config.storage_shards;
 

@@ -1,10 +1,9 @@
 // Component microbenchmarks (google-benchmark): storage primitives and
-// footprint-prefetched lookups, the lock manager, dirty-key tracker
-// variants (the paper's §2.3 ablation: bit vector vs hash table vs Bloom
-// filter), value pool vs malloc (one and three threads), contended
-// histogram recording, checkpoint file writing, the commit-log append
-// path (alone and contended under a live streamer), and command-log
-// generation decoding.
+// footprint-prefetched lookups, the lock manager, the dirty set's bit
+// vector (mark and scan), value pool vs malloc (one and three threads),
+// contended histogram recording, checkpoint file writing, the commit-log
+// append path (alone and contended under a live streamer), and
+// command-log generation decoding.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +16,6 @@
 
 #include "bench/bench_common.h"
 #include "checkpoint/ckpt_file.h"
-#include "checkpoint/dirty_tracker.h"
 #include "checkpoint/phase.h"
 #include "log/command_log_streamer.h"
 #include "log/commit_log.h"
@@ -148,51 +146,33 @@ void BM_LockManagerAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_LockManagerAcquireRelease);
 
-// Paper §2.3 ablation: cost of marking a dirty key per structure.
+// Cost of marking a dirty key in the DirtySet's bit vector (paper §2.3;
+// EXPERIMENTS.md §2.3 has the retired hash-set and Bloom rows).
 void BM_DirtyTrackerMark(benchmark::State& state) {
-  DirtyKeyTracker tracker(
-      static_cast<DirtyTrackerKind>(state.range(0)), 1 << 22);
+  AtomicBitVector bits(1 << 22);
   Rng rng(4);
   for (auto _ : state) {
-    tracker.Mark(static_cast<uint32_t>(rng.Uniform(1 << 22)));
+    bits.Set(static_cast<uint32_t>(rng.Uniform(1 << 22)));
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(state.range(0) == 0   ? "bitvector"
-                 : state.range(0) == 1 ? "hashset"
-                                       : "bloom");
 }
-BENCHMARK(BM_DirtyTrackerMark)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DirtyTrackerMark);
 
-// Paper §2.3 ablation: enumerating the dirty set (the capture scan's
-// driver) at 10% density.
+// Enumerating a dirty side at 10% density, as a partial capture does.
 void BM_DirtyTrackerScan(benchmark::State& state) {
   constexpr uint32_t kCap = 1 << 20;
-  DirtyKeyTracker tracker(
-      static_cast<DirtyTrackerKind>(state.range(0)), kCap);
+  AtomicBitVector bits(kCap);
   Rng rng(5);
   for (uint32_t i = 0; i < kCap / 10; ++i) {
-    tracker.Mark(static_cast<uint32_t>(rng.Uniform(kCap)));
+    bits.Set(static_cast<uint32_t>(rng.Uniform(kCap)));
   }
   for (auto _ : state) {
     uint64_t sum = 0;
-    tracker.ForEach(kCap, [&](uint32_t idx) { sum += idx; });
+    bits.ForEach(kCap, [&](uint32_t idx) { sum += idx; });
     benchmark::DoNotOptimize(sum);
   }
-  state.SetLabel(state.range(0) == 0   ? "bitvector"
-                 : state.range(0) == 1 ? "hashset"
-                                       : "bloom");
 }
-BENCHMARK(BM_DirtyTrackerScan)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_AtomicBitVectorSet(benchmark::State& state) {
-  AtomicBitVector bits(1 << 22);
-  Rng rng(6);
-  for (auto _ : state) {
-    bits.Set(rng.Uniform(1 << 22));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AtomicBitVectorSet);
+BENCHMARK(BM_DirtyTrackerScan);
 
 void BM_RWSpinLockUncontended(benchmark::State& state) {
   RWSpinLock lock;

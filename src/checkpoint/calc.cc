@@ -42,8 +42,7 @@ CalcCheckpointer::CalcCheckpointer(EngineContext engine, bool partial)
   slots_at_vpoc_ =
       std::vector<std::atomic<uint32_t>>(engine_.store->num_shards());
   if (partial) {
-    dirty_ = std::make_unique<DirtySet>(engine_.dirty_tracker,
-                                        *engine_.store);
+    dirty_ = std::make_unique<DirtySet>(*engine_.store);
   }
 }
 

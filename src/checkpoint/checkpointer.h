@@ -7,7 +7,6 @@
 
 #include "checkpoint/admission_gate.h"
 #include "checkpoint/ckpt_storage.h"
-#include "checkpoint/dirty_tracker.h"
 #include "checkpoint/phase.h"
 #include "log/commit_log.h"
 #include "storage/sharded_store.h"
@@ -32,8 +31,6 @@ struct EngineContext {
   /// Worker-pool size of the capture job (Options::capture_threads,
   /// resolved). Never changes the file layout.
   int capture_threads = 1;
-  /// Dirty-key structure of the partial algorithms' DirtySet.
-  DirtyTrackerKind dirty_tracker = DirtyTrackerKind::kBitVector;
 };
 
 /// Statistics for one completed checkpoint cycle.

@@ -7,7 +7,7 @@ namespace calcdb {
 
 FuzzyCheckpointer::FuzzyCheckpointer(EngineContext engine, bool partial)
     : Checkpointer(engine, partial),
-      dirty_(engine.dirty_tracker, *engine.store) {
+      dirty_(*engine.store) {
   if (!partial) {
     // Full fuzzy keeps the latest snapshot resident. Seed it with a
     // physical copy of the current database contents.

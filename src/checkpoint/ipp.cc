@@ -9,7 +9,7 @@ namespace calcdb {
 
 IppCheckpointer::IppCheckpointer(EngineContext engine, bool partial)
     : Checkpointer(engine, partial),
-      dirty_(DirtyTrackerKind::kBitVector, *engine.store) {
+      dirty_(*engine.store) {
   uint32_t nshards = engine_.store->num_shards();
   arrays_[0].resize(nshards);
   arrays_[1].resize(nshards);

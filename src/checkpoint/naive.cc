@@ -9,8 +9,7 @@ NaiveSnapshotCheckpointer::NaiveSnapshotCheckpointer(EngineContext engine,
                                                      bool partial)
     : Checkpointer(engine, partial) {
   if (partial) {
-    dirty_ = std::make_unique<DirtySet>(engine_.dirty_tracker,
-                                        *engine_.store);
+    dirty_ = std::make_unique<DirtySet>(*engine_.store);
   }
 }
 

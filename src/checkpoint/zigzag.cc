@@ -31,8 +31,7 @@ ZigzagCheckpointer::ZigzagCheckpointer(EngineContext engine, bool partial)
     }
   }
   if (partial) {
-    dirty_ = std::make_unique<DirtySet>(engine_.dirty_tracker,
-                                        *engine_.store);
+    dirty_ = std::make_unique<DirtySet>(*engine_.store);
   }
 }
 

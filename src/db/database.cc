@@ -24,8 +24,7 @@ namespace calcdb {
 
 namespace {
 
-// Lock-table stripes; with several storage shards they split into
-// per-shard arrays of roughly kLockStripes / shards each (floored at 64).
+// Lock-table stripes, one flat table whatever the storage shard count.
 constexpr size_t kLockStripes = 1 << 16;
 
 // Recovery decodes each command-log generation through one reused
@@ -148,7 +147,7 @@ Database::Database(const Options& options)
       store_(new ShardedStore(options.max_records,
                               ResolvedStorageShards(options), pool_.get())),
       ckpt_storage_(options.checkpoint_dir, options.disk_bytes_per_sec),
-      lock_manager_(kLockStripes, store_->num_shards()) {
+      lock_manager_(kLockStripes) {
   CheckpointWriterOptions writer_options;
   writer_options.block_bytes = options.ckpt_block_bytes;
   writer_options.async_io = ResolvedAsyncIo(options);
@@ -323,7 +322,6 @@ EngineContext Database::Engine() {
   engine.ckpt_storage = &ckpt_storage_;
   engine.streamer = streamer_.get();
   engine.capture_threads = ResolvedCaptureThreads(options_);
-  engine.dirty_tracker = options_.dirty_tracker;
   return engine;
 }
 

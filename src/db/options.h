@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <string>
 
-#include "checkpoint/dirty_tracker.h"
-
 namespace calcdb {
 
 /// Which checkpointing algorithm a Database instance runs (paper §4.1:
@@ -100,10 +98,6 @@ struct Options {
 
   /// Pre-allocate/recycle stable-record memory from a pool (paper §5.1.6).
   bool use_value_pool = true;
-
-  /// Dirty-key structure for the partial algorithms (paper §2.3 default:
-  /// bit vector).
-  DirtyTrackerKind dirty_tracker = DirtyTrackerKind::kBitVector;
 
   /// Run the background partial-checkpoint collapser, merging once
   /// `merge_batch` partials accumulate (paper §5.1.3: batches of 4/8/16).

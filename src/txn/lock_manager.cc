@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "storage/sharded_store.h"
-
 namespace calcdb {
 
 namespace {
@@ -14,27 +12,17 @@ size_t NextPow2(size_t n) {
 }
 }  // namespace
 
-LockManager::LockManager(size_t num_stripes, uint32_t num_shards) {
-  if (num_shards == 0) num_shards = 1;
-  // Keep the total stripe count roughly constant as the shard count grows:
-  // each shard gets its proportional slice (floored at 64 so tiny
-  // configurations still spread contention).
-  size_t per_shard = NextPow2(std::max<size_t>(num_stripes / num_shards, 64));
-  stripes_per_shard_ = per_shard;
-  mask_ = per_shard - 1;
-  shards_.reserve(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    shards_.emplace_back(new RWSpinLock[per_shard]);
-  }
+LockManager::LockManager(size_t num_stripes) {
+  size_t n = NextPow2(std::max<size_t>(num_stripes, 64));
+  stripes_.reset(new RWSpinLock[n]);
+  mask_ = n - 1;
 }
 
 LockManager::StripeLock LockManager::ResolveKey(uint64_t key,
                                                 bool exclusive) const {
-  uint32_t shard = ShardedStore::ShardOfKey(
-      key, static_cast<uint32_t>(shards_.size()));
   uint64_t x = key * 0x9e3779b97f4a7c15ULL;
   x ^= x >> 29;
-  return {shard, static_cast<uint32_t>(x & mask_), exclusive};
+  return {static_cast<uint32_t>(x & mask_), exclusive};
 }
 
 LockManager::LockSet LockManager::Resolve(const KeySets& sets) const {
@@ -52,8 +40,7 @@ LockManager::LockSet LockManager::Resolve(const KeySets& sets) const {
   // explicitly.
   size_t kept = 0;
   for (size_t i = 0; i < out.size(); ++i) {
-    if (kept > 0 && out[kept - 1].shard == out[i].shard &&
-        out[kept - 1].stripe == out[i].stripe) {
+    if (kept > 0 && out[kept - 1].stripe == out[i].stripe) {
       out[kept - 1].exclusive |= out[i].exclusive;
     } else {
       out[kept++] = out[i];
@@ -67,9 +54,9 @@ void LockManager::AcquireAll(const LockSet& set)
     CALCDB_NO_THREAD_SAFETY_ANALYSIS {
   for (const StripeLock& sl : set) {
     if (sl.exclusive) {
-      shards_[sl.shard][sl.stripe].Lock();
+      stripes_[sl.stripe].Lock();
     } else {
-      shards_[sl.shard][sl.stripe].LockShared();
+      stripes_[sl.stripe].LockShared();
     }
   }
 }
@@ -78,9 +65,9 @@ void LockManager::ReleaseAll(const LockSet& set)
     CALCDB_NO_THREAD_SAFETY_ANALYSIS {
   for (const StripeLock& sl : set) {
     if (sl.exclusive) {
-      shards_[sl.shard][sl.stripe].Unlock();
+      stripes_[sl.stripe].Unlock();
     } else {
-      shards_[sl.shard][sl.stripe].UnlockShared();
+      stripes_[sl.stripe].UnlockShared();
     }
   }
 }

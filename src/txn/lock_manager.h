@@ -15,34 +15,26 @@ namespace calcdb {
 /// strict two-phase locking (paper §4: "In order to eliminate deadlock ...
 /// we implemented a deadlock-free variant of strict two-phase locking").
 ///
-/// Keys hash onto per-shard arrays of reader-writer locks, where the shard
-/// is the storage partition that owns the key (ShardedStore::ShardOfKey).
-/// A transaction's full key set is resolved to (shard, stripe) pairs up
-/// front, deduplicated (a stripe needed in both modes is taken exclusive),
-/// sorted lexicographically by (shard, stripe), and acquired in that order
-/// — a global acquisition order, so no deadlock is possible. All locks are
+/// Keys hash onto one flat array of reader-writer locks, whatever the
+/// storage shard count. A transaction's full key set is resolved to
+/// stripes up front, deduplicated (a stripe needed in both modes is taken
+/// exclusive), sorted by stripe index, and acquired in that order — a
+/// global acquisition order, so no deadlock is possible. All locks are
 /// held until after the commit token is appended (strictness).
-///
-/// With one shard this collapses to the original flat striped table: one
-/// stripe array, ordering by stripe index alone.
 class LockManager {
  public:
   /// One resolved lock request.
   struct StripeLock {
-    uint32_t shard;
     uint32_t stripe;
     bool exclusive;
-    bool operator<(const StripeLock& o) const {
-      if (shard != o.shard) return shard < o.shard;
-      return stripe < o.stripe;
-    }
+    bool operator<(const StripeLock& o) const { return stripe < o.stripe; }
   };
 
   /// A transaction's resolved, ordered lock set.
   using LockSet = std::vector<StripeLock>;
 
-  explicit LockManager(size_t num_stripes = 1 << 16,
-                       uint32_t num_shards = 1);
+  /// `num_stripes` is rounded up to a power of two, at least 64.
+  explicit LockManager(size_t num_stripes = 1 << 16);
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -60,19 +52,13 @@ class LockManager {
   /// Releases every lock in `set`.
   void ReleaseAll(const LockSet& set) CALCDB_NO_THREAD_SAFETY_ANALYSIS;
 
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
-  /// Stripes per shard (the total lock count is num_shards() * this).
-  size_t num_stripes() const { return stripes_per_shard_; }
+  size_t num_stripes() const { return mask_ + 1; }
 
  private:
   StripeLock ResolveKey(uint64_t key, bool exclusive) const;
 
-  /// One shard's stripe array. RWSpinLock is not movable, so shards hold
-  /// their arrays behind unique_ptr.
-  std::vector<std::unique_ptr<RWSpinLock[]>> shards_;
-  size_t stripes_per_shard_;
+  /// RWSpinLock is not movable, so the table is a plain array.
+  std::unique_ptr<RWSpinLock[]> stripes_;
   size_t mask_;
 };
 

@@ -23,6 +23,9 @@ class AtomicBitVector {
 
   AtomicBitVector(const AtomicBitVector&) = delete;
   AtomicBitVector& operator=(const AtomicBitVector&) = delete;
+  /// Movable so owners can hold vectors inline; never move one that
+  /// another thread may be touching.
+  AtomicBitVector(AtomicBitVector&&) = default;
 
   size_t size() const { return num_bits_; }
 
@@ -49,7 +52,7 @@ class AtomicBitVector {
   }
 
   /// Clears every bit. Not atomic with respect to concurrent setters; the
-  /// caller must guarantee quiescence (or use the double-buffered tracker).
+  /// caller must guarantee quiescence (or use the double-buffered DirtySet).
   ///
   /// Per-word release stores (rather than relaxed stores plus a trailing
   /// release fence): the per-word form pairs with the acquire loads in
@@ -73,6 +76,23 @@ class AtomicBitVector {
   }
   size_t num_words() const { return words_.size(); }
 
+  /// Invokes `fn` for every set index < `limit`, in ascending order,
+  /// 64 bits at a time. The vector must be quiescent (no concurrent
+  /// Set/Clear). A template so capture scans inline `fn`.
+  template <typename Fn>
+  void ForEach(size_t limit, Fn&& fn) const {
+    size_t words = (limit + 63) / 64;
+    if (words > words_.size()) words = words_.size();
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t bits = Word(w);
+      while (bits != 0) {
+        size_t idx = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+        bits &= bits - 1;
+        if (idx < limit) fn(static_cast<uint32_t>(idx));
+      }
+    }
+  }
+
   /// Number of set bits (linear scan; used by stats and tests).
   size_t Count() const {
     size_t n = 0;
@@ -85,72 +105,6 @@ class AtomicBitVector {
  private:
   size_t num_bits_;
   std::vector<std::atomic<uint64_t>> words_;
-};
-
-/// CALC's `stable_status` vector (paper Figure 1).
-///
-/// Each record owns one bit whose *interpretation* alternates between
-/// checkpoint cycles: in one cycle the raw value 1 means "stable version
-/// available", in the next cycle 0 does. SwapSense() implements the paper's
-/// SwapAvailableAndNotAvailable(): after a capture phase every bit holds the
-/// raw value that currently means "available", so flipping the sense makes
-/// them all mean "not available" again without a O(n) clearing scan.
-class DualSenseBitVector {
- public:
-  explicit DualSenseBitVector(size_t num_bits) : bits_(num_bits) {}
-
-  /// True if the record's stable version is marked available.
-  bool IsAvailable(size_t i) const {
-    return bits_.Get(i) ==
-           (available_raw_.load(std::memory_order_acquire) != 0);
-  }
-
-  /// Marks the record's stable version available.
-  void SetAvailable(size_t i) {
-    if (available_raw_.load(std::memory_order_acquire) != 0) {
-      bits_.Set(i);
-    } else {
-      bits_.Clear(i);
-    }
-  }
-
-  /// Marks the record's stable version not available (used by tests and by
-  /// insert handling; the main algorithm relies on SwapSense instead).
-  void SetNotAvailable(size_t i) {
-    if (available_raw_.load(std::memory_order_acquire) != 0) {
-      bits_.Clear(i);
-    } else {
-      bits_.Set(i);
-    }
-  }
-
-  /// Atomically marks available and returns whether it was available before.
-  bool TestAndSetAvailable(size_t i) {
-    if (available_raw_.load(std::memory_order_acquire) != 0) {
-      return bits_.TestAndSet(i);
-    }
-    // available == raw 0: "set available" means clearing the bit.
-    uint64_t prev_was_set = bits_.Get(i);
-    bits_.Clear(i);
-    return !prev_was_set;
-  }
-
-  /// The paper's SwapAvailableAndNotAvailable(): O(1).
-  void SwapSense() {
-    available_raw_.store(available_raw_.load(std::memory_order_acquire) ^ 1,
-                         std::memory_order_release);
-  }
-
-  size_t size() const { return bits_.size(); }
-
-  /// Current raw value meaning "available" (exposed for tests).
-  int available_raw() const {
-    return available_raw_.load(std::memory_order_acquire);
-  }
-
- private:
-  AtomicBitVector bits_;
-  std::atomic<int> available_raw_{1};
 };
 
 }  // namespace calcdb

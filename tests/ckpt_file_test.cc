@@ -1,9 +1,10 @@
 // Tests for the checkpoint file format, the checkpoint storage/manifest,
-// the dirty-key trackers, and the partial-checkpoint merger.
+// the dirty set, and the partial-checkpoint merger.
 
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/ckpt_file.h"
@@ -11,6 +12,7 @@
 #include "checkpoint/dirty_tracker.h"
 #include "checkpoint/merger.h"
 #include "gtest/gtest.h"
+#include "storage/sharded_store.h"
 #include "tests/test_util.h"
 #include "util/crc32.h"
 
@@ -388,70 +390,139 @@ TEST(CheckpointStorageTest, ManifestUnknownTypeIsCorruption) {
   EXPECT_TRUE(storage.LoadManifest().IsCorruption());
 }
 
-TEST(DirtyTrackerTest, MarkTestClearAllKinds) {
-  for (DirtyTrackerKind kind :
-       {DirtyTrackerKind::kBitVector, DirtyTrackerKind::kHashSet,
-        DirtyTrackerKind::kBloom}) {
-    DirtyKeyTracker tracker(kind, 10000);
-    tracker.Mark(17);
-    tracker.Mark(9000);
-    EXPECT_TRUE(tracker.Test(17));
-    EXPECT_TRUE(tracker.Test(9000));
-    if (kind != DirtyTrackerKind::kBloom) {
-      EXPECT_FALSE(tracker.Test(18));
-      EXPECT_EQ(tracker.Count(), 2u);
-    }
-    tracker.Clear();
-    EXPECT_FALSE(tracker.Test(17));
-  }
-}
-
+// The dirty-key structure is a plain AtomicBitVector; its enumeration
+// order is what keeps partial-checkpoint streams ascending per shard.
 TEST(DirtyTrackerTest, ForEachAscendingAndComplete) {
-  for (DirtyTrackerKind kind :
-       {DirtyTrackerKind::kBitVector, DirtyTrackerKind::kHashSet}) {
-    DirtyKeyTracker tracker(kind, 1000);
-    std::set<uint32_t> expect = {3, 70, 500, 999};
-    for (uint32_t idx : expect) tracker.Mark(idx);
-    std::vector<uint32_t> seen;
-    tracker.ForEach(1000, [&](uint32_t idx) { seen.push_back(idx); });
-    ASSERT_EQ(seen.size(), expect.size());
-    EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
-    for (uint32_t idx : seen) EXPECT_TRUE(expect.count(idx));
-  }
+  AtomicBitVector bits(1000);
+  std::set<uint32_t> expect = {3, 63, 64, 70, 500, 999};
+  for (uint32_t idx : expect) bits.Set(idx);
+  std::vector<uint32_t> seen;
+  bits.ForEach(1000, [&](uint32_t idx) { seen.push_back(idx); });
+  EXPECT_EQ(seen, std::vector<uint32_t>(expect.begin(), expect.end()));
 }
 
 TEST(DirtyTrackerTest, ForEachHonorsLimit) {
-  DirtyKeyTracker tracker(DirtyTrackerKind::kBitVector, 1000);
-  tracker.Mark(5);
-  tracker.Mark(900);
-  int count = 0;
-  tracker.ForEach(100, [&](uint32_t idx) {
-    EXPECT_LT(idx, 100u);
-    ++count;
-  });
-  EXPECT_EQ(count, 1);
+  AtomicBitVector bits(1000);
+  bits.Set(5);
+  bits.Set(99);
+  bits.Set(100);
+  bits.Set(900);
+  std::vector<uint32_t> seen;
+  bits.ForEach(100, [&](uint32_t idx) { seen.push_back(idx); });
+  EXPECT_EQ(seen, (std::vector<uint32_t>{5, 99}));
+  // A limit past the capacity stops at the last word.
+  seen.clear();
+  bits.ForEach(5000, [&](uint32_t idx) { seen.push_back(idx); });
+  EXPECT_EQ(seen, (std::vector<uint32_t>{5, 99, 100, 900}));
 }
 
-TEST(DirtyTrackerTest, BloomSupersetSemantics) {
-  DirtyKeyTracker tracker(DirtyTrackerKind::kBloom, 100000);
-  std::set<uint32_t> marked;
-  for (uint32_t i = 0; i < 500; ++i) {
-    marked.insert(i * 97);
-    tracker.Mark(i * 97);
+// DirtySet over a 4-shard store: every record is addressed by its
+// (shard, index), so two records of different shards can share an index.
+class DirtySetTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kShards = 4;
+  static constexpr uint64_t kKeys = 256;
+
+  DirtySetTest() : store_(1024, kShards) {
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      EXPECT_TRUE(store_.Put(k, "v").ok());
+    }
   }
-  // ForEach must visit a superset of the marked indexes.
-  std::set<uint32_t> seen;
-  tracker.ForEach(100000, [&](uint32_t idx) { seen.insert(idx); });
-  for (uint32_t idx : marked) EXPECT_TRUE(seen.count(idx));
+
+  const Record& Rec(uint64_t key) const { return *store_.Find(key); }
+
+  /// Every (shard, index) marked on `side`.
+  std::set<std::pair<uint32_t, uint32_t>> Marked(const DirtySet& dirty,
+                                                 uint32_t side) const {
+    std::set<std::pair<uint32_t, uint32_t>> out;
+    for (uint32_t s = 0; s < kShards; ++s) {
+      dirty.Side(side, s).ForEach(store_.shard(s)->max_records(),
+                                  [&](uint32_t idx) { out.insert({s, idx}); });
+    }
+    return out;
+  }
+
+  ShardedStore store_;
+};
+
+TEST_F(DirtySetTest, MarkAndTestStayPerShard) {
+  // Two keys in different shards at the same index.
+  const Record* a = &Rec(0);
+  const Record* b = nullptr;
+  for (uint64_t k = 1; k < kKeys && b == nullptr; ++k) {
+    if (Rec(k).shard != a->shard && Rec(k).index == a->index) b = &Rec(k);
+  }
+  ASSERT_NE(b, nullptr);
+  DirtySet dirty(store_);
+  dirty.Mark(0, *a);
+  EXPECT_TRUE(dirty.Test(0, *a));
+  EXPECT_FALSE(dirty.Test(0, *b));
+  EXPECT_FALSE(dirty.Test(1, *a));
+  EXPECT_TRUE(dirty.Side(0, a->shard).Get(a->index));
+  EXPECT_FALSE(dirty.Side(0, b->shard).Get(b->index));
+  EXPECT_EQ(Marked(dirty, 0),
+            (std::set<std::pair<uint32_t, uint32_t>>{{a->shard, a->index}}));
 }
 
-TEST(DirtyTrackerTest, MemoryBytesRanking) {
-  // The paper's §2.3 sizing argument: the Bloom filter is smaller than
-  // the bit vector, which is ~0.25% of a 50-byte-record database.
-  DirtyKeyTracker bits(DirtyTrackerKind::kBitVector, 1 << 20);
-  DirtyKeyTracker bloom(DirtyTrackerKind::kBloom, 1 << 20);
-  EXPECT_EQ(bits.MemoryBytes(), (1u << 20) / 8);
-  EXPECT_LT(bloom.MemoryBytes(), bits.MemoryBytes());
+TEST_F(DirtySetTest, FlipReturnsOldActive) {
+  DirtySet dirty(store_);
+  EXPECT_EQ(dirty.active(), 0u);
+  dirty.MarkActive(Rec(1));
+  EXPECT_EQ(dirty.Flip(), 0u);
+  EXPECT_EQ(dirty.active(), 1u);
+  dirty.MarkActive(Rec(2));
+  EXPECT_EQ(dirty.Flip(), 1u);
+  EXPECT_EQ(dirty.active(), 0u);
+  EXPECT_TRUE(dirty.Test(0, Rec(1)));
+  EXPECT_FALSE(dirty.Test(1, Rec(1)));
+  EXPECT_TRUE(dirty.Test(1, Rec(2)));
+  EXPECT_FALSE(dirty.Test(0, Rec(2)));
+}
+
+TEST_F(DirtySetTest, ClearEmptiesOneSideOnly) {
+  DirtySet dirty(store_);
+  for (uint64_t k = 0; k < kKeys; k += 3) {
+    dirty.Mark(0, Rec(k));
+    dirty.Mark(1, Rec(k));
+  }
+  auto before = Marked(dirty, 1);
+  dirty.Clear(0);
+  EXPECT_TRUE(Marked(dirty, 0).empty());
+  EXPECT_EQ(Marked(dirty, 1), before);
+  for (uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(dirty.Side(0, s).Count(), 0u);
+  }
+}
+
+TEST_F(DirtySetTest, CarryMovesExactlyIndexesBelowLimit) {
+  DirtySet dirty(store_);
+  std::vector<uint32_t> limits;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    limits.push_back(store_.shard(s)->NumSlots() / 2);
+  }
+  std::set<std::pair<uint32_t, uint32_t>> expect;
+  int carried = 0, dropped = 0;
+  for (uint64_t k = 0; k < kKeys; k += 2) {
+    const Record& rec = Rec(k);
+    dirty.Mark(0, rec);
+    if (rec.index < limits[rec.shard]) {
+      expect.insert({rec.shard, rec.index});
+      ++carried;
+    } else {
+      ++dropped;
+    }
+  }
+  ASSERT_GT(carried, 0);
+  ASSERT_GT(dropped, 0);
+  // A write already on the other side survives the carry.
+  for (uint64_t k = 1; k < kKeys; k += 16) {
+    const Record& rec = Rec(k);
+    dirty.Mark(1, rec);
+    expect.insert({rec.shard, rec.index});
+  }
+  dirty.Carry(0, limits);
+  EXPECT_TRUE(Marked(dirty, 0).empty());
+  EXPECT_EQ(Marked(dirty, 1), expect);
 }
 
 TEST(MergerTest, CollapseMergesLatestWins) {

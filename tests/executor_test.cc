@@ -40,40 +40,45 @@ TEST(LockManagerTest, ResolveDeduplicatesAndSorts) {
 }
 
 // Resolve dedups in place after sorting; pin it against a map oracle:
-// one lock per (shard, stripe), ascending, exclusive iff any key on that
-// stripe is written.
+// one lock per stripe, ascending, exclusive iff any key on that stripe
+// is written. The key -> stripe hash is pinned too: it fixes the global
+// lock order, which must not move under a change of storage layout.
 TEST(LockManagerTest, ResolveMatchesDedupOracle) {
-  for (uint32_t shards : {1u, 4u}) {
-    LockManager lm(1 << 8, shards);
-    Rng rng(shards);
-    for (int trial = 0; trial < 500; ++trial) {
-      KeySets sets;
-      size_t writes = rng.Uniform(12), reads = rng.Uniform(12);
-      for (size_t i = 0; i < writes; ++i) {
-        sets.write_keys.push_back(rng.Uniform(600));
-      }
-      for (size_t i = 0; i < reads; ++i) {
-        sets.read_keys.push_back(rng.Uniform(600));
-      }
-      LockManager::LockSet locks = lm.Resolve(sets);
-      // Oracle over single-key resolutions.
-      std::map<std::pair<uint32_t, uint32_t>, bool> oracle;
-      auto add = [&](uint64_t key, bool exclusive) {
-        KeySets one;
-        (exclusive ? one.write_keys : one.read_keys).push_back(key);
-        LockManager::StripeLock sl = lm.Resolve(one)[0];
-        oracle[{sl.shard, sl.stripe}] |= exclusive;
-      };
-      for (uint64_t k : sets.write_keys) add(k, true);
-      for (uint64_t k : sets.read_keys) add(k, false);
-      ASSERT_EQ(locks.size(), oracle.size());
-      size_t i = 0;
-      for (const auto& [where, exclusive] : oracle) {
-        EXPECT_EQ(locks[i].shard, where.first);
-        EXPECT_EQ(locks[i].stripe, where.second);
-        EXPECT_EQ(locks[i].exclusive, exclusive);
-        ++i;
-      }
+  LockManager lm(1 << 8);
+  ASSERT_EQ(lm.num_stripes(), 256u);
+  const std::pair<uint64_t, uint32_t> pinned[] = {
+      {0, 0}, {1, 222}, {5, 146}, {9, 150}, {100, 153}, {12345, 247}};
+  for (const auto& [key, stripe] : pinned) {
+    KeySets one;
+    one.write_keys = {key};
+    EXPECT_EQ(lm.Resolve(one)[0].stripe, stripe) << key;
+  }
+  Rng rng(1);
+  for (int trial = 0; trial < 500; ++trial) {
+    KeySets sets;
+    size_t writes = rng.Uniform(12), reads = rng.Uniform(12);
+    for (size_t i = 0; i < writes; ++i) {
+      sets.write_keys.push_back(rng.Uniform(600));
+    }
+    for (size_t i = 0; i < reads; ++i) {
+      sets.read_keys.push_back(rng.Uniform(600));
+    }
+    LockManager::LockSet locks = lm.Resolve(sets);
+    // Oracle over single-key resolutions.
+    std::map<uint32_t, bool> oracle;
+    auto add = [&](uint64_t key, bool exclusive) {
+      KeySets one;
+      (exclusive ? one.write_keys : one.read_keys).push_back(key);
+      oracle[lm.Resolve(one)[0].stripe] |= exclusive;
+    };
+    for (uint64_t k : sets.write_keys) add(k, true);
+    for (uint64_t k : sets.read_keys) add(k, false);
+    ASSERT_EQ(locks.size(), oracle.size());
+    size_t i = 0;
+    for (const auto& [stripe, exclusive] : oracle) {
+      EXPECT_EQ(locks[i].stripe, stripe);
+      EXPECT_EQ(locks[i].exclusive, exclusive);
+      ++i;
     }
   }
 }

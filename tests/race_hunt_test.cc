@@ -7,7 +7,6 @@
 //      algorithm's phase transitions — a tiny, fully-hot keyspace and
 //      back-to-back checkpoints maximize collisions on the per-record
 //      micro-latch, the stable-status stamps, and the dirty trackers.
-//  R2. DualSenseBitVector sense swap racing concurrent Set/Test.
 //  R3. Value Ref/Unref storms over the pooled allocator: final readers
 //      racing the freeing thread is exactly what the acq_rel decrement
 //      ordering (value.h) must make safe.
@@ -271,59 +270,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CheckpointAlgorithm>& info) {
       return AlgorithmName(info.param);
     });
-
-// ---------------------------------------------------------------------------
-// R2: dual-bitvec sense swap racing concurrent Set/Test.
-// ---------------------------------------------------------------------------
-
-TEST(RaceHuntTest, DualSenseSwapDuringSetAndTest) {
-  constexpr size_t kBits = 256;
-  DualSenseBitVector vec(kBits);
-  std::atomic<bool> stop{false};
-  const int kIters = ScaledIters(20000);
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(17u + static_cast<uint64_t>(t));
-      for (int i = 0; i < kIters; ++i) {
-        size_t bit = rng.Uniform(kBits);
-        switch (rng.Uniform(3)) {
-          case 0:
-            vec.SetAvailable(bit);
-            break;
-          case 1:
-            vec.SetNotAvailable(bit);
-            break;
-          default:
-            vec.TestAndSetAvailable(bit);
-            break;
-        }
-      }
-    });
-  }
-  threads.emplace_back([&] {
-    Rng rng(23);
-    while (!stop.load(std::memory_order_acquire)) {
-      (void)vec.IsAvailable(rng.Uniform(kBits));
-    }
-  });
-  threads.emplace_back([&] {
-    // The paper's SwapAvailableAndNotAvailable, fired continuously. The
-    // real system only swaps at a phase boundary; the storm checks the
-    // *memory* safety of the raw operations, not phase discipline.
-    while (!stop.load(std::memory_order_acquire)) {
-      vec.SwapSense();
-      std::this_thread::yield();
-    }
-  });
-  threads[0].join();
-  threads[1].join();
-  stop.store(true, std::memory_order_release);
-  threads[2].join();
-  threads[3].join();
-  EXPECT_TRUE(vec.available_raw() == 0 || vec.available_raw() == 1);
-}
 
 // ---------------------------------------------------------------------------
 // R3: stable-value Ref/Unref storms over the pool.

@@ -1,5 +1,5 @@
 // Unit tests for the util layer: Status, clock, latches, bit vectors,
-// Bloom filter, RNG, histogram, CRC32.
+// RNG, histogram, CRC32.
 
 #include <atomic>
 #include <set>
@@ -8,7 +8,6 @@
 
 #include "gtest/gtest.h"
 #include "util/bitvec.h"
-#include "util/bloom.h"
 #include "util/clock.h"
 #include "util/crc32.h"
 #include "util/histogram.h"
@@ -166,60 +165,6 @@ TEST(AtomicBitVectorTest, WordAccess) {
   EXPECT_EQ(bits.Word(1), 1u);
   bits.SetWord(1, ~uint64_t{0});
   EXPECT_EQ(bits.Count(), 2u + 64u);
-}
-
-TEST(DualSenseBitVectorTest, SwapSenseActsAsGlobalReset) {
-  DualSenseBitVector bits(100);
-  for (size_t i = 0; i < 100; ++i) {
-    EXPECT_FALSE(bits.IsAvailable(i));
-  }
-  for (size_t i = 0; i < 100; ++i) bits.SetAvailable(i);
-  for (size_t i = 0; i < 100; ++i) {
-    EXPECT_TRUE(bits.IsAvailable(i));
-  }
-  // The paper's SwapAvailableAndNotAvailable: everything flips to
-  // not-available in O(1).
-  bits.SwapSense();
-  for (size_t i = 0; i < 100; ++i) {
-    EXPECT_FALSE(bits.IsAvailable(i));
-  }
-  bits.SetAvailable(7);
-  EXPECT_TRUE(bits.IsAvailable(7));
-  EXPECT_FALSE(bits.IsAvailable(8));
-}
-
-TEST(DualSenseBitVectorTest, SetNotAvailable) {
-  DualSenseBitVector bits(10);
-  bits.SetAvailable(3);
-  bits.SetNotAvailable(3);
-  EXPECT_FALSE(bits.IsAvailable(3));
-}
-
-TEST(BloomFilterTest, NoFalseNegatives) {
-  BloomFilter bloom(1 << 14);
-  for (uint64_t k = 0; k < 1000; ++k) bloom.Add(k * 7919);
-  for (uint64_t k = 0; k < 1000; ++k) {
-    EXPECT_TRUE(bloom.MayContain(k * 7919)) << k;
-  }
-}
-
-TEST(BloomFilterTest, LowFalsePositiveRate) {
-  BloomFilter bloom(1 << 16);
-  for (uint64_t k = 0; k < 1000; ++k) bloom.Add(k);
-  int fp = 0;
-  for (uint64_t k = 1000000; k < 1010000; ++k) {
-    if (bloom.MayContain(k)) ++fp;
-  }
-  // 64K bits / 1000 keys with k=4 => well under 1% expected.
-  EXPECT_LT(fp, 200);
-}
-
-TEST(BloomFilterTest, ClearAll) {
-  BloomFilter bloom(1 << 10);
-  bloom.Add(42);
-  EXPECT_TRUE(bloom.MayContain(42));
-  bloom.ClearAll();
-  EXPECT_FALSE(bloom.MayContain(42));
 }
 
 TEST(RngTest, DeterministicGivenSeed) {

@@ -19,12 +19,13 @@ ISSUE/CONTRIBUTING "Correctness tooling"):
                           CALCDB_NO_THREAD_SAFETY_ANALYSIS (clang's analysis
                           or its documented opt-out), or carry a
                           naked-lock-ok(<reason>) comment. Everything else
-                          uses SpinLatchGuard. Recognizes per-shard latch
+                          uses SpinLatchGuard. Recognizes striped latch
                           members — lock calls on indexed latch-array
-                          elements (stripes_[shard][stripe].Lock() and kin,
+                          elements (stripes_[stripe].Lock(),
+                          stripes_[shard][stripe].Lock() and kin,
                           txn/lock_manager.h) — and reminds about the
-                          (shard, stripe) lexicographic acquisition order
-                          those arrays require.
+                          canonical acquisition order those arrays
+                          require.
   phase-token-latch       PhaseController::SetPhase is only called from
                           CommitLog::AppendPhaseTransition (under the
                           commit-log latch): phase visibility must be atomic
@@ -340,9 +341,9 @@ def check_naked_lock(path, code, raw_lines):
             findings.append(Finding(
                 path, lineno, "naked-lock",
                 f"naked {m.group(1)}() on an indexed per-shard latch "
-                "member: striped latch arrays are acquired in (shard, "
-                "stripe) lexicographic order from annotated LockManager "
-                "methods only (txn/lock_manager.h); annotate the "
+                "member: striped latch arrays are acquired in canonical "
+                "(ascending) order from annotated LockManager methods "
+                "only (txn/lock_manager.h); annotate the "
                 "enclosing function with CALCDB_ACQUIRE/CALCDB_RELEASE/"
                 "CALCDB_NO_THREAD_SAFETY_ANALYSIS or add "
                 "// naked-lock-ok(<reason>)"))
